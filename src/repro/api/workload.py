@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 try:  # Python 3.8+: typing.Protocol
     from typing import Protocol, runtime_checkable

@@ -94,12 +94,6 @@ class CampaignResult:
     ``backend`` records which execution backend the runner resolved to
     (``"scalar"`` or ``"batch"``) — provenance only: the two backends
     are bit-identical, so it never affects the observations.
-
-    ``prng_mode`` records the platform draw mode the campaign measured
-    under (``"exact"`` or ``"fast-parity"``).  Unlike ``backend`` it is
-    measurement-determining: the two modes produce different (equally
-    distributed) cycle counts, so artifacts and execution digests must
-    distinguish them.
     """
 
     label: str
@@ -108,7 +102,6 @@ class CampaignResult:
     runs_requested: Optional[int] = None
     convergence: Optional["CampaignConvergenceSummary"] = None
     backend: Optional[str] = None
-    prng_mode: Optional[str] = None
 
     @property
     def records(self) -> List[RunRecord]:

@@ -4,23 +4,36 @@ A pWCET campaign executes the *same* instruction trace thousands of
 times, varying only the per-run platform randomization (placement
 seeds, replacement victims).  The scalar interpreter
 (:class:`~repro.platform.core.CoreStepper`) pays the Python
-per-instruction dispatch cost once per run; this module reshapes the
-computation so it is paid once per *trace*: all ``R`` replications
-advance through the trace together, with numpy arrays holding the
-per-run divergent state —
+per-instruction dispatch cost once per run; the vector engines reshape
+the computation so it is paid once per *trace*, with numpy arrays
+holding the per-lane divergent state.
 
-* cache tag stores ``(R, sets, ways)`` and TLB entry stores ``(R,
-  entries)``,
-* the per-run LFSR states of the platform PRNG (victim draws advance
-  only the lanes that actually miss into a full set, so every run
-  consumes exactly the draw sequence the scalar interpreter would),
-* per-run cycle accumulators, the bus busy horizon and the
-  write-through store-buffer ring.
+This module holds the one component set both vector engines share —
+each component acts on lane index arrays:
 
-Everything *trace-pure* — fetch/line/page locality, pipeline hazards,
-FPU latencies — is precompiled once per trace into an event list with
-static-cost gaps, so only instructions that touch per-run state (fetch
-probes on new lines, loads, stores) cost vector work.
+* :class:`_VecPrng` — per-lane :class:`CombinedLfsrPrng` states (victim
+  draws advance only the lanes that actually miss into a full set, so
+  every lane consumes exactly the draw sequence the scalar interpreter
+  would);
+* three replacement policies, :class:`_VecCache` (tag stores ``(L,
+  sets, ways)``), :class:`_VecTlb`, :class:`_VecBus` (per-run busy
+  horizon and grant pointer), :class:`_VecMemory` (open-row and refresh
+  state) and :class:`_VecStoreBuffer` (FIFO rings);
+* one per-instruction compile pass (:func:`_compile_pass`) folding
+  fetch/line/page locality, pipeline hazards and FPU latencies into
+  trace-pure facts, one identity-keyed compile memo, one per-component
+  seed derivation, one support check and one broadcast-and-clone path
+  for deterministic platforms.
+
+Two loops drive it.  The **segment loop** here
+(:meth:`_BatchEngine.run_segments`, single-core campaigns) keeps every
+lane at the same trace position, so it folds the compile pass into an
+event list with static-cost gaps and calls the components' *broadcast*
+methods: one scalar address for all lanes, set indices memoized per
+line.  Only fetch probes on new lines, loads and stores cost vector
+work.  The **step loop** in :mod:`repro.platform.batch_concurrent`
+(co-scheduled campaigns) lets lanes diverge and calls the *index*
+methods with per-lane addresses.
 
 Bit-identity contract
 ---------------------
@@ -42,9 +55,7 @@ platform consumes the per-run seed.
 
 Unsupported shapes — tree-PLRU replacement on a randomized platform,
 or numpy missing — raise :class:`BatchUnsupported`; callers
-(:mod:`repro.api.backend`) fall back to the scalar path, as they do
-for multicore co-scheduled scenarios, which this engine deliberately
-does not model.
+(:mod:`repro.api.backend`) fall back to the scalar path.
 """
 
 from __future__ import annotations
@@ -53,13 +64,13 @@ import os
 import sys
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
-from .bus import BusConfig
+from .bus import BusConfig, BusStats
 from .cache import CacheConfig, CacheStats
 from .core import _FP_OPS, CoreConfig, RunResult
 from .fpu import Fpu, FpuStats
-from .memory import MemoryConfig
+from .memory import MemoryConfig, MemoryStats
 from .pipeline import PipelineModel, PipelineStats
 from .prng import CombinedLfsrPrng, Lfsr, SplitMix64, derive_seed
 from .soc import Platform
@@ -99,6 +110,8 @@ __all__ = [
     "run_batch_segments",
 ]
 
+_T = TypeVar("_T")
+
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -120,15 +133,20 @@ def numpy_available() -> bool:
     return _np is not None
 
 
-def batch_unsupported_reason(
-    platform: Platform, core_id: int = 0
+def _unsupported_reason(
+    platform: Platform, core_ids: Sequence[int], check_grants: bool
 ) -> Optional[str]:
-    """Why ``platform`` cannot be batch-executed (None = supported)."""
+    """Why running ``core_ids`` on the vector components is impossible
+    (None = supported); ``check_grants`` rejects bus grant logging,
+    which only the co-scheduled results would have to reproduce."""
     cfg = platform.config
-    if not 0 <= core_id < cfg.num_cores:
-        return f"core_id {core_id} out of range [0, {cfg.num_cores})"
-    if core_id >= cfg.bus.num_masters:
-        return f"core_id {core_id} is not a bus master"
+    for core_id in core_ids:
+        if not 0 <= core_id < cfg.num_cores:
+            return f"core_id {core_id} out of range [0, {cfg.num_cores})"
+        if core_id >= cfg.bus.num_masters:
+            return f"core_id {core_id} is not a bus master"
+    if check_grants and cfg.bus.record_grants:
+        return "bus grant logging is not vectorized"
     if not cfg.is_randomized:
         # Deterministic platform: the degenerate path needs no numpy.
         return None
@@ -146,72 +164,71 @@ def batch_unsupported_reason(
     return None
 
 
+def batch_unsupported_reason(
+    platform: Platform, core_id: int = 0
+) -> Optional[str]:
+    """Why ``platform`` cannot be batch-executed (None = supported)."""
+    return _unsupported_reason(platform, (core_id,), check_grants=False)
+
+
 # ----------------------------------------------------------------------
-# Trace compilation (trace-pure preprocessing, shared by all runs)
+# Trace compilation (trace-pure preprocessing, shared by all lanes)
 # ----------------------------------------------------------------------
 
-#: Event memory kinds.
-_EV_NONE, _EV_LOAD, _EV_STORE = 0, 1, 2
+#: Memory kinds of a compiled instruction (the scalar LOAD/STORE split).
+_MK_NONE, _MK_LOAD, _MK_STORE = 0, 1, 2
+
+#: A compiled instruction: ``(fetch_pc, itlb_page, cost, mem_kind,
+#: mem_addr, dtlb_page)``.
+_Row = Tuple[int, int, int, int, int, int]
+
+#: Number of pipeline + FPU statistic counters (see :func:`_counters`).
+_STAT_FIELDS = 9
 
 
-@dataclass
-class _CompiledSegment:
-    """One trace reduced to its per-run-divergent events.
-
-    ``events`` tuples are ``(gap, fetch_pc, itlb_page, mem_kind, addr,
-    dtlb_page, pre_cost)``: ``gap`` is the static cycle cost since the
-    previous event (pipeline + FPU of the instructions in between,
-    including the post-fetch cost of fetch-only events), ``fetch_pc``
-    is the fetched byte address when the instruction probes the IL1
-    (-1 otherwise), ``itlb_page``/``dtlb_page`` are the virtual pages
-    probed on page changes (-1 otherwise) and ``pre_cost`` is the
-    event instruction's own pipeline cost, charged between its fetch
-    and its data access exactly as the scalar interpreter does.
-    """
-
-    events: List[Tuple[int, int, int, int, int, int, int]]
-    tail: int
-    length: int
-    pipeline: PipelineStats
-    fpu: FpuStats
+def _counters(pipeline: PipelineStats, fpu: FpuStats) -> Tuple[int, ...]:
+    """The nine pipeline/FPU counters as one flat tuple."""
+    return (
+        pipeline.instructions,
+        pipeline.base_cycles,
+        pipeline.branch_bubbles,
+        pipeline.load_use_stalls,
+        pipeline.long_op_stalls,
+        fpu.ops,
+        fpu.div_ops,
+        fpu.sqrt_ops,
+        fpu.total_cycles,
+    )
 
 
-#: Memoized compiled segments.  Keyed by object identity of the
-#: (trace, core config) pair; the cached value keeps strong references
-#: to both, so an ``is`` check on lookup makes id-reuse after garbage
-#: collection impossible while an entry lives.  Compilation costs about
-#: one scalar pass over the trace — without the memo, adaptive batch
-#: campaigns (which build one engine per index block) and sharded
-#: campaigns would pay it once per block/shard instead of once per
-#: trace.
-_SEGMENT_CACHE: "OrderedDict" = OrderedDict()
-_SEGMENT_CACHE_SIZE = 256
+def _stats_from_counters(counters: Sequence[Any]) -> Tuple[PipelineStats, FpuStats]:
+    """Inverse of :func:`_counters`."""
+    values = [int(value) for value in counters]
+    return PipelineStats(*values[:5]), FpuStats(*values[5:])
 
 
-def _compiled_segment(trace: Trace, core_cfg: CoreConfig) -> "_CompiledSegment":
-    """Memoizing wrapper around :func:`_compile_segment`."""
-    key = (id(trace), id(core_cfg))
-    entry = _SEGMENT_CACHE.get(key)
-    if entry is not None:
-        cached_trace, cached_cfg, compiled = entry
-        if cached_trace is trace and cached_cfg is core_cfg:
-            _SEGMENT_CACHE.move_to_end(key)
-            return compiled
-    compiled = _compile_segment(trace, core_cfg)
-    _SEGMENT_CACHE[key] = (trace, core_cfg, compiled)
-    _SEGMENT_CACHE.move_to_end(key)
-    while len(_SEGMENT_CACHE) > _SEGMENT_CACHE_SIZE:
-        _SEGMENT_CACHE.popitem(last=False)
-    return compiled
+def _compile_pass(
+    trace: Trace,
+    core_cfg: CoreConfig,
+    locality: Tuple[int, int, int] = (-1, -1, -1),
+    prefix: Optional[List[Tuple[int, ...]]] = None,
+) -> Tuple[List[_Row], Tuple[int, int, int], Tuple[int, ...]]:
+    """One pass over ``trace``, reduced to per-instruction facts.
 
-
-def _compile_segment(trace: Trace, core_cfg: CoreConfig) -> _CompiledSegment:
-    """Fold the trace-pure costs of ``trace`` into an event list.
+    Each row holds ``fetch_pc`` (the fetched byte address when the
+    instruction probes the IL1, -1 otherwise), the ITLB/DTLB pages
+    probed on page changes (-1 otherwise), ``cost`` (the pipeline cost,
+    plus the FPU's extra cycles for non-memory instructions), the
+    memory kind and the LOAD/STORE byte address.  ``locality`` is the
+    ``(line, ipage, dpage)`` state the pass starts from — cold for a
+    fresh :class:`CoreStepper` — and the state it ends in is returned
+    with the nine pipeline/FPU counters of the pass; ``prefix``, when
+    given, receives the counters after every instruction.
 
     Reuses the real :class:`PipelineModel` and :class:`Fpu` so per-
-    instruction costs (and their stats) are the scalar ones by
-    construction.  Locality state (line buffer, micro-TLBs) restarts
-    per segment, matching a fresh :class:`CoreStepper`.
+    instruction costs and their statistics are the scalar ones by
+    construction; both cost oracles are stateless given the trace
+    fields, so every pass may start them fresh.
     """
     pipeline = PipelineModel(core_cfg.pipeline)
     fpu = Fpu(core_cfg.fpu)
@@ -229,11 +246,8 @@ def _compile_segment(trace: Trace, core_cfg: CoreConfig) -> _CompiledSegment:
     deps = trace.dep_distances
     takens = trace.takens
 
-    events: List[Tuple[int, int, int, int, int, int, int]] = []
-    gap = 0
-    last_iline = -1
-    last_ipage = -1
-    last_dpage = -1
+    last_iline, last_ipage, last_dpage = locality
+    rows: List[_Row] = []
     for i in range(len(kinds)):
         kind = kinds[i]
         pc = pcs[i]
@@ -256,31 +270,99 @@ def _compile_segment(trace: Trace, core_cfg: CoreConfig) -> _CompiledSegment:
                 dtlb_page = dpage
             else:
                 dtlb_page = -1
-            mem_kind = _EV_LOAD if kind == load_kind else _EV_STORE
-            events.append(
-                (gap, fetch_pc, itlb_page, mem_kind, addr, dtlb_page, pipe)
-            )
-            gap = 0
+            mem_kind = _MK_LOAD if kind == load_kind else _MK_STORE
+            rows.append((fetch_pc, itlb_page, pipe, mem_kind, addr, dtlb_page))
         else:
             fp_op = fp_ops.get(kind)
             extra = fpu.latency(fp_op, op_classes[i]) - 1 if fp_op is not None else 0
-            if fetch_pc >= 0:
-                events.append((gap, fetch_pc, itlb_page, _EV_NONE, -1, -1, 0))
-                gap = pipe + extra
-            else:
-                gap += pipe + extra
-    return _CompiledSegment(
-        events=events,
-        tail=gap,
-        length=len(kinds),
-        pipeline=replace(pipeline.stats),
-        fpu=replace(fpu.stats),
-    )
+            rows.append((fetch_pc, itlb_page, pipe + extra, _MK_NONE, -1, -1))
+        if prefix is not None:
+            prefix.append(_counters(pipeline.stats, fpu.stats))
+    totals = _counters(pipeline.stats, fpu.stats)
+    return rows, (last_iline, last_ipage, last_dpage), totals
+
+
+@dataclass
+class _CompiledSegment:
+    """One trace reduced to the segment loop's event list.
+
+    ``events`` tuples are ``(gap, fetch_pc, itlb_page, mem_kind, addr,
+    dtlb_page, pre_cost)``: ``gap`` is the static cycle cost since the
+    previous event (pipeline + FPU of the instructions in between,
+    including the post-fetch cost of fetch-only events), the middle five
+    columns are the compile pass's and ``pre_cost`` is the memory
+    instruction's own pipeline cost, charged between its fetch and its
+    data access exactly as the scalar interpreter does.  ``totals``
+    holds the pass's nine pipeline/FPU counters.
+    """
+
+    events: List[Tuple[int, int, int, int, int, int, int]]
+    tail: int
+    length: int
+    totals: Tuple[int, ...]
+
+
+def _compile_segment(trace: Trace, core_cfg: CoreConfig) -> _CompiledSegment:
+    """Fold the compile pass of ``trace`` into static-gap events.
+
+    Locality restarts per segment, matching a fresh
+    :class:`CoreStepper`.
+    """
+    rows, _, totals = _compile_pass(trace, core_cfg)
+    events: List[Tuple[int, int, int, int, int, int, int]] = []
+    gap = 0
+    for fetch_pc, itlb_page, cost, mem_kind, addr, dtlb_page in rows:
+        if mem_kind != _MK_NONE:
+            events.append((gap, fetch_pc, itlb_page, mem_kind, addr, dtlb_page, cost))
+            gap = 0
+        elif fetch_pc >= 0:
+            events.append((gap, fetch_pc, itlb_page, _MK_NONE, -1, -1, 0))
+            gap = cost
+        else:
+            gap += cost
+    return _CompiledSegment(events=events, tail=gap, length=len(rows), totals=totals)
+
+
+#: Memoized compiled traces.  Keyed by object identity of the (trace,
+#: core config) pair plus the compiler and its extra arguments; the
+#: cached value keeps strong references to both, so an ``is`` check on
+#: lookup makes id-reuse after garbage collection impossible while an
+#: entry lives.  Compilation costs about one scalar pass over the trace
+#: — without the memo, adaptive campaigns (one engine per index block),
+#: sharded campaigns and co-scheduled groups sharing opponent traces
+#: would pay it once per block/shard/group instead of once per trace.
+_COMPILE_CACHE: "OrderedDict[Tuple[Any, ...], Any]" = OrderedDict()
+_COMPILE_CACHE_SIZE = 256
+
+
+def _memoized(
+    compile_fn: Callable[..., _T], trace: Trace, core_cfg: CoreConfig, *args: Any
+) -> _T:
+    """``compile_fn(trace, core_cfg, *args)``, memoized by identity."""
+    key = (id(trace), id(core_cfg), compile_fn, args)
+    entry = _COMPILE_CACHE.get(key)
+    if entry is not None and entry[0] is trace and entry[1] is core_cfg:
+        _COMPILE_CACHE.move_to_end(key)
+        cached: _T = entry[2]
+        return cached
+    compiled = compile_fn(trace, core_cfg, *args)
+    _COMPILE_CACHE[key] = (trace, core_cfg, compiled)
+    _COMPILE_CACHE.move_to_end(key)
+    while len(_COMPILE_CACHE) > _COMPILE_CACHE_SIZE:
+        _COMPILE_CACHE.popitem(last=False)
+    return compiled
 
 
 # ----------------------------------------------------------------------
 # Vectorized platform components
 # ----------------------------------------------------------------------
+#
+# State is laid out per *lane* (one replication of one core) or per
+# *run* (the shared bus and DRAM).  Index methods take arrays of unique
+# lane indices: state is gathered, computed at the event's width and
+# scattered back, so fancy-indexed ``+=`` updates are exact.  Broadcast
+# methods serve the segment loop, whose lanes all sit at the same
+# trace position: one scalar address for every lane.
 
 
 class _StepTables:
@@ -380,15 +462,14 @@ def _step_tables(nbits: int) -> _StepTables:
 
 
 class _VecPrng:
-    """Per-run :class:`CombinedLfsrPrng` lanes advanced under a mask.
+    """Per-lane :class:`CombinedLfsrPrng` states, drawn per lane index.
 
-    Seeding reproduces ``CombinedLfsrPrng.reseed`` per lane; a masked
-    draw advances only the masked lanes, so every lane's bit stream is
+    Seeding reproduces ``CombinedLfsrPrng.reseed`` per lane; a draw
+    advances only the indexed lanes, so every lane's bit stream is
     exactly the scalar one regardless of how misses interleave across
-    runs.  Draws go through the per-``nbits`` :class:`_StepTables`: all
+    lanes.  Draws go through the per-``nbits`` :class:`_StepTables`: all
     four LFSR slots advance in one stacked table lookup, and rejection
-    (non-power-of-two ``randint``) retries only the rejecting lanes in
-    gather/scatter form.
+    (non-power-of-two ``randint``) retries only the rejecting lanes.
     """
 
     def __init__(self, seeds: Sequence[int]) -> None:
@@ -413,35 +494,9 @@ class _VecPrng:
         )
         return value, tables.state_hi[hi] ^ tables.state_lo[lo]
 
-    def next_bits(self, nbits: int, mask: Any) -> Any:
-        """``n``-bit draws for the masked lanes (others keep their
-        state; their returned value is meaningless and must be ignored,
-        as the callers' own masks guarantee)."""
-        np = _np
-        value, advanced = self._draw(self._states, nbits)
-        np.copyto(self._states, advanced, where=mask)
-        return value
-
-    def randint(self, n: int, mask: Any) -> Any:
-        """Masked uniform draw in ``[0, n)``; per-lane rejection exactly
-        as the scalar ``CombinedLfsrPrng.randint``."""
-        np = _np
-        if n == 1:
-            return np.zeros(self._states.shape[1], dtype=np.int64)
-        bits = (n - 1).bit_length()
-        out = self.next_bits(bits, mask)
-        if n & (n - 1) == 0:
-            return out
-        bad = np.flatnonzero(mask & (out >= n))
-        while bad.size:
-            redraw = self.next_bits_idx(bits, bad)
-            out[bad] = redraw
-            bad = bad[redraw >= n]
-        return out
-
     def next_bits_idx(self, nbits: int, lanes: Any) -> Any:
-        """``n``-bit draws for the *indexed* lanes (gather/scatter form
-        of :meth:`next_bits` — ``lanes`` must hold unique indices)."""
+        """``n``-bit draws for the indexed lanes (``lanes`` must hold
+        unique indices)."""
         value, advanced = self._draw(self._states[:, lanes], nbits)
         self._states[:, lanes] = advanced
         return value
@@ -464,133 +519,30 @@ class _VecPrng:
         return out
 
 
-class _VecFastPrng:
-    """Per-run :class:`~repro.platform.prng.FastParityPrng` lanes.
-
-    The counter construction has no sequential dependency between
-    draws, so each lane's next ``_BUFFER`` values are materialized in
-    one vectorized refill; a masked draw is then one gather plus one
-    masked cursor bump.  Per lane the emitted sequence is bit-identical
-    to the scalar ``FastParityPrng`` seeded the same way (draw ``i``
-    maps counter ``seed + i * GOLDEN`` through the SplitMix64
-    finalizer), so scalar/batch parity holds in fast-parity mode too —
-    only the *exact-mode* hardware generator is swapped out.
-    """
-
-    _BUFFER = 64
-
-    def __init__(self, seeds: Sequence[int]) -> None:
-        np = _np
-        runs = len(seeds)
-        self._seeds = np.array([s & _M64 for s in seeds], dtype=np.uint64)
-        self._rows = np.arange(runs)
-        self._count = np.zeros(runs, dtype=np.uint64)
-        self._pos = np.zeros(runs, dtype=np.int64)
-        self._vals = np.zeros((runs, self._BUFFER), dtype=np.int64)
-        self._kind: Optional[Tuple[str, int]] = None
-        self._left = 0
-
-    def _refill(self, rows: Any) -> None:
-        np = _np
-        kind, param = self._kind  # type: ignore[misc]
-        self._count[rows] += self._pos[rows].astype(np.uint64)
-        steps = np.arange(1, self._BUFFER + 1, dtype=np.uint64)
-        z = self._seeds[rows, None] + (
-            (self._count[rows, None] + steps) * np.uint64(_GOLDEN)
-        )
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z = z ^ (z >> np.uint64(31))
-        if kind == "randint":
-            self._vals[rows] = (z % np.uint64(param)).astype(np.int64)
-        else:
-            self._vals[rows] = (z >> np.uint64(64 - param)).astype(np.int64)
-        self._pos[rows] = 0
-
-    def _replenish(self, kind: Tuple[str, int]) -> None:
-        np = _np
-        if kind != self._kind:
-            # Kind switches recompute the outstanding buffer from the
-            # per-lane counters — no draw is consumed or skipped.
-            self._kind = kind
-            self._refill(slice(None))
-        elif self._left <= 0:
-            exhausted = np.flatnonzero(self._pos == self._BUFFER)
-            if exhausted.size:
-                self._refill(exhausted)
-        else:
-            return
-        self._left = self._BUFFER - int(self._pos.max(initial=0))
-
-    def next_bits(self, nbits: int, mask: Any) -> Any:
-        self._replenish(("bits", nbits))
-        value = self._vals[self._rows, self._pos]
-        self._pos += mask
-        self._left -= 1
-        return value
-
-    def randint(self, n: int, mask: Any) -> Any:
-        np = _np
-        if n == 1:
-            return np.zeros(self._pos.shape[0], dtype=np.int64)
-        self._replenish(("randint", n))
-        value = self._vals[self._rows, self._pos]
-        self._pos += mask
-        self._left -= 1
-        return value
-
-    def next_bits_idx(self, nbits: int, lanes: Any) -> Any:
-        self._replenish(("bits", nbits))
-        value = self._vals[lanes, self._pos[lanes]]
-        self._pos[lanes] += 1
-        self._left -= 1
-        return value
-
-    def randint_idx(self, n: int, lanes: Any) -> Any:
-        np = _np
-        if n == 1:
-            return np.zeros(lanes.shape[0], dtype=np.int64)
-        self._replenish(("randint", n))
-        value = self._vals[lanes, self._pos[lanes]]
-        self._pos[lanes] += 1
-        self._left -= 1
-        return value
-
-
-def _make_vec_prng(prng_mode: str, seeds: Sequence[int]) -> Any:
-    """Vectorized platform generator lanes for ``prng_mode``."""
-    if prng_mode == "fast-parity":
-        return _VecFastPrng(seeds)
-    return _VecPrng(seeds)
+# Replacement policies share one interface over aligned ``lanes`` /
+# ``sets`` (an int when every lane probes the same set) / ``ways``
+# arrays: ``touch`` (hit), ``fill`` (allocation), ``victim`` (a full
+# set's victim way per lane).  ``needs_touch`` tells the caches whether
+# the hit way must be computed at all.
 
 
 class _VecRandomRepl:
-    """Random replacement: victims drawn from the per-run PRNG lanes.
-
-    ``needs_touch`` is False: the policy keeps no recency state, so the
-    cache skips the hit-way ``argmax``/touch entirely (the scalar
-    ``RandomReplacement.touch`` is a no-op too).
-    """
+    """Random replacement: victims drawn from the per-lane PRNG."""
 
     needs_touch = False
 
-    def __init__(self, prng: Any, num_ways: int) -> None:
+    def __init__(self, prng: _VecPrng, num_ways: int) -> None:
         self._prng = prng
         self._ways = num_ways
 
-    def touch(self, set_index: Any, way: Any, mask: Any) -> None:
+    def touch(self, lanes: Any, sets: Any, ways: Any) -> None:
         return None
 
-    def victim(self, set_index: Any, mask: Any) -> Any:
-        return self._prng.randint(self._ways, mask)
+    fill = touch
 
-    def victim_idx(self, sets: Any, lanes: Any) -> Any:
-        """Victim ways for the indexed miss lanes only — consumes one
-        draw per listed lane, exactly the scalar consumption."""
+    def victim(self, lanes: Any, sets: Any) -> Any:
+        """One draw per listed lane — exactly the scalar consumption."""
         return self._prng.randint_idx(self._ways, lanes)
-
-    def fill_idx(self, sets: Any, way: Any, lanes: Any) -> None:
-        return None
 
 
 class _VecLruRepl:
@@ -598,157 +550,125 @@ class _VecLruRepl:
 
     Initial timestamps equal the way index (the scalar policy's initial
     recency order) and every touch installs a strictly increasing
-    counter, so ``argmin`` over a set reproduces ``order[0]`` exactly.
-    Timestamp scatters land on the touched/filled lanes only.
+    counter, so ``argmin`` over a set reproduces ``order[0]`` exactly;
+    only the *relative* stamp order within one (lane, set) ever
+    matters, so sharing one counter across lanes is exact.
     """
 
     needs_touch = True
 
-    def __init__(self, runs: int, num_sets: int, num_ways: int) -> None:
+    def __init__(self, lanes: int, num_sets: int, num_ways: int) -> None:
         np = _np
         self._ts = np.tile(
-            np.arange(num_ways, dtype=np.int64), (runs, num_sets, 1)
+            np.arange(num_ways, dtype=np.int64), (lanes, num_sets, 1)
         )
         self._counter = num_ways
-        self._rows = np.arange(runs)
 
-    def touch(self, set_index: Any, way: Any, mask: Any) -> None:
-        np = _np
-        lanes = np.flatnonzero(mask)
-        if lanes.size:
-            sets = set_index if isinstance(set_index, int) else set_index[lanes]
-            self._ts[lanes, sets, way[lanes]] = self._counter
+    def touch(self, lanes: Any, sets: Any, ways: Any) -> None:
+        self._ts[lanes, sets, ways] = self._counter
         self._counter += 1
 
-    def victim(self, set_index: Any, mask: Any) -> Any:
-        if isinstance(set_index, int):
-            per_set = self._ts[:, set_index]
-        else:
-            per_set = self._ts[self._rows, set_index]
-        return per_set.argmin(axis=1)
+    fill = touch
 
-    def victim_idx(self, sets: Any, lanes: Any) -> Any:
-        per_set = self._ts[lanes, sets]
-        return per_set.argmin(axis=1)
-
-    def fill_idx(self, sets: Any, way: Any, lanes: Any) -> None:
-        if lanes.size:
-            self._ts[lanes, sets, way] = self._counter
-        self._counter += 1
+    def victim(self, lanes: Any, sets: Any) -> Any:
+        return self._ts[lanes, sets].argmin(axis=1)
 
 
 class _VecRoundRobinRepl:
-    """FIFO-like rotation: per-run per-set victim pointer."""
+    """FIFO-like rotation: per-lane per-set victim pointer."""
 
     needs_touch = False
 
-    def __init__(self, runs: int, num_sets: int, num_ways: int) -> None:
+    def __init__(self, lanes: int, num_sets: int, num_ways: int) -> None:
         np = _np
-        self._ptr = np.zeros((runs, num_sets), dtype=np.int64)
+        self._ptr = np.zeros((lanes, num_sets), dtype=np.int64)
         self._ways = num_ways
-        self._rows = np.arange(runs)
 
-    def touch(self, set_index: Any, way: Any, mask: Any) -> None:
+    def touch(self, lanes: Any, sets: Any, ways: Any) -> None:
         return None
 
-    def victim(self, set_index: Any, mask: Any) -> Any:
-        np = _np
-        if isinstance(set_index, int):
-            way = self._ptr[:, set_index].copy()
-            lanes = np.flatnonzero(mask)
-            self._ptr[lanes, set_index] = (way[lanes] + 1) % self._ways
-        else:
-            way = self._ptr[self._rows, set_index].copy()
-            lanes = np.flatnonzero(mask)
-            self._ptr[lanes, set_index[lanes]] = (way[lanes] + 1) % self._ways
-        return way
+    fill = touch
 
-    def victim_idx(self, sets: Any, lanes: Any) -> Any:
+    def victim(self, lanes: Any, sets: Any) -> Any:
         way = self._ptr[lanes, sets]
         self._ptr[lanes, sets] = (way + 1) % self._ways
         return way
 
-    def fill_idx(self, sets: Any, way: Any, lanes: Any) -> None:
-        return None
 
-
-def _make_vec_replacement(
-    name: str,
-    runs: int,
-    num_sets: int,
-    num_ways: int,
-    prng: Optional[Any],
+def _make_replacement(
+    name: str, seeds: Sequence[int], num_sets: int, num_ways: int
 ) -> Any:
+    """Replacement state for ``len(seeds)`` lanes (the seeds key the
+    random policy's per-lane generators)."""
     if name == "random":
-        return _VecRandomRepl(prng, num_ways)
+        return _VecRandomRepl(_VecPrng(seeds), num_ways)
     if name == "lru":
-        return _VecLruRepl(runs, num_sets, num_ways)
+        return _VecLruRepl(len(seeds), num_sets, num_ways)
     if name == "round_robin":
-        return _VecRoundRobinRepl(runs, num_sets, num_ways)
+        return _VecRoundRobinRepl(len(seeds), num_sets, num_ways)
     raise BatchUnsupported(f"replacement {name!r} is not vectorized")
 
 
-def _mix_lanes(value: int, seeds_u64: Any) -> Any:
-    """Vectorized ``placement._mix``: one 64-bit finalizer per lane."""
+def _mix(values: Any, seeds_u64: Any) -> Any:
+    """Vectorized ``placement._mix``: the 64-bit finalizer per lane, of
+    one value shared by every lane (an int) or one value per lane."""
     np = _np
-    base = np.uint64((value * _GOLDEN) & _M64)
-    z = base + seeds_u64  # uint64 arithmetic wraps mod 2**64, as required
+    if isinstance(values, int):
+        z = np.uint64((values * _GOLDEN) & _M64) + seeds_u64
+    else:
+        z = values.astype(np.uint64) * np.uint64(_GOLDEN) + seeds_u64
+    # uint64 arithmetic wraps mod 2**64, as the scalar finalizer does.
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
     return z ^ (z >> np.uint64(31))
 
 
-class _VecCache:
-    """Set-associative cache with per-run tag stores.
+def _pick(sets: Any, sel: Any) -> Any:
+    """``sets[sel]``, or ``sets`` itself when every lane shares one set."""
+    return sets if isinstance(sets, int) else sets[sel]
 
-    Per-run placement seeds rotate set indices lane-wise (random modulo
+
+class _VecCache:
+    """Set-associative cache with per-lane tag stores.
+
+    Per-lane placement seeds rotate set indices lane-wise (random modulo
     / hash placement); the tag store fills lowest-way-first, so the
     first free way of a set is always ``valid_count`` — the same
-    invariant the scalar ``Cache._allocate`` scan relies on.
+    invariant the scalar ``Cache._allocate`` scan relies on.  Misses are
+    derived at stats time (accesses - hits): broadcast accesses are
+    counted once for all lanes, index accesses per lane.
     """
 
-    def __init__(
-        self,
-        cfg: CacheConfig,
-        seeds: Sequence[int],
-        runs: int,
-        prng_mode: str = "exact",
-    ) -> None:
+    def __init__(self, cfg: CacheConfig, seeds: Sequence[int]) -> None:
         np = _np
-        self.cfg = cfg
+        lanes = len(seeds)
         self.num_sets = cfg.num_sets
         self.ways = cfg.ways
         self.line_shift = cfg.line_shift
-        self._rows = np.arange(runs)
-        self.tags = np.full((runs, self.num_sets, self.ways), -1, dtype=np.int64)
-        self.valid = np.zeros((runs, self.num_sets), dtype=np.int64)
+        self._rows = np.arange(lanes)
+        self.tags = np.full((lanes, self.num_sets, self.ways), -1, dtype=np.int64)
+        self.valid = np.zeros((lanes, self.num_sets), dtype=np.int64)
         self._placement = cfg.placement
         self._seeds = np.array([s & _M64 for s in seeds], dtype=np.uint64)
         self._rotations: Dict[int, Any] = {}
         self._set_memo: Dict[int, Any] = {}
-        prng = (
-            _make_vec_prng(prng_mode, seeds)
-            if cfg.replacement == "random"
-            else None
-        )
-        self.repl = _make_vec_replacement(
-            cfg.replacement, runs, self.num_sets, self.ways, prng
-        )
+        self.repl = _make_replacement(cfg.replacement, seeds, self.num_sets, self.ways)
         self._needs_touch = self.repl.needs_touch
         self._allocate_on_write = not cfg.write_through_no_allocate
-        # Misses are derived at stats time (accesses - hits): the hot
-        # loop keeps one vector accumulate per access, not two.
-        self.read_hits = np.zeros(runs, dtype=np.int64)
-        self.write_hits = np.zeros(runs, dtype=np.int64)
-        self.evictions = np.zeros(runs, dtype=np.int64)
-        self._reads = 0
-        self._writes = 0
+        self.read_hits = np.zeros(lanes, dtype=np.int64)
+        self.write_hits = np.zeros(lanes, dtype=np.int64)
+        self.reads = np.zeros(lanes, dtype=np.int64)
+        self.writes = np.zeros(lanes, dtype=np.int64)
+        self.evictions = np.zeros(lanes, dtype=np.int64)
+        self._all_reads = 0
+        self._all_writes = 0
 
     # -- placement -----------------------------------------------------
     def _set_index(self, line: int) -> Any:
-        """Set index of ``line`` — an int (modulo) or an (R,) array.
+        """Set index of ``line`` on every lane — an int (modulo) or an
+        (L,) array.
 
-        Memoized per line: placement is a pure function of (line, run
+        Memoized per line: placement is a pure function of (line, lane
         seed) for the whole engine lifetime, and traces revisit a small
         working set of lines many times.
         """
@@ -764,190 +684,253 @@ class _VecCache:
             tag, index = divmod(line, sets)
             rotation = self._rotations.get(tag)
             if rotation is None:
-                rotation = (_mix_lanes(tag, self._seeds) % np.uint64(sets)).astype(
-                    np.int64
-                )
+                rotation = (_mix(tag, self._seeds) % np.uint64(sets)).astype(np.int64)
                 self._rotations[tag] = rotation
             result = (index + rotation) % sets
         else:
-            result = (_mix_lanes(line, self._seeds) % np.uint64(sets)).astype(
-                np.int64
-            )
+            result = (_mix(line, self._seeds) % np.uint64(sets)).astype(np.int64)
         self._set_memo[line] = result
         return result
 
-    def _gather_ways(self, set_index: Any) -> Any:
-        if isinstance(set_index, int):
-            return self.tags[:, set_index]
-        return self.tags[self._rows, set_index]
+    def _set_index_idx(self, lanes: Any, lines: Any) -> Any:
+        """Per-lane set index of per-lane ``lines``."""
+        np = _np
+        sets = self.num_sets
+        if self._placement == "modulo":
+            return lines % sets
+        seeds = self._seeds[lanes]
+        if self._placement == "random_modulo":
+            rotation = (_mix(lines // sets, seeds) % np.uint64(sets)).astype(np.int64)
+            return (lines % sets + rotation) % sets
+        return (_mix(lines, seeds) % np.uint64(sets)).astype(np.int64)
 
     # -- accesses ------------------------------------------------------
-    def _allocate_idx(self, set_index: Any, line: int, lanes: Any) -> None:
-        """Fill ``line`` on the miss lanes only (gather/scatter, no
-        run-width temporaries). Victim draws happen on the full lanes
-        in ascending lane order — the scalar loop's draw order."""
-        np = _np
-        sets = set_index if isinstance(set_index, int) else set_index[lanes]
+    def _allocate(self, lanes: Any, sets: Any, lines: Any) -> None:
+        """Fill ``lines`` on the miss ``lanes`` (``sets``/``lines``: one
+        shared int or one per lane); each full lane draws its victim
+        from its own stream."""
         way = self.valid[lanes, sets]
         full_sel = way >= self.ways
         full_lanes = lanes[full_sel]
         if full_lanes.size:
-            full_sets = sets if isinstance(sets, int) else sets[full_sel]
-            way[full_sel] = self.repl.victim_idx(full_sets, full_lanes)
+            way[full_sel] = self.repl.victim(full_lanes, _pick(sets, full_sel))
             self.evictions[full_lanes] += 1
             free_sel = ~full_sel
             free_lanes = lanes[free_sel]
             if free_lanes.size:
-                free_sets = sets if isinstance(sets, int) else sets[free_sel]
-                self.valid[free_lanes, free_sets] += 1
+                self.valid[free_lanes, _pick(sets, free_sel)] += 1
         else:
             self.valid[lanes, sets] += 1
-        self.tags[lanes, sets, way] = line
-        self.repl.fill_idx(sets, way, lanes)
+        self.tags[lanes, sets, way] = lines
+        self.repl.fill(lanes, sets, way)
 
-    def read(self, byte_address: int) -> Any:
-        """Vectorized ``Cache.read``; returns the miss-lane indices."""
+    def access(self, byte_address: int, is_write: bool) -> Any:
+        """Broadcast ``Cache.read``/``write`` of one address on every
+        lane; returns the miss-lane indices."""
         np = _np
         line = byte_address >> self.line_shift
         set_index = self._set_index(line)
-        matches = self._gather_ways(set_index) == line
+        if isinstance(set_index, int):
+            matches = self.tags[:, set_index] == line
+        else:
+            matches = self.tags[self._rows, set_index] == line
         hit = matches.any(axis=1)
         if self._needs_touch:
-            self.repl.touch(set_index, matches.argmax(axis=1), hit)
-        self.read_hits += hit
-        self._reads += 1
+            lanes = np.flatnonzero(hit)
+            if lanes.size:
+                ways = matches.argmax(axis=1)[lanes]
+                self.repl.touch(lanes, _pick(set_index, lanes), ways)
+        if is_write:
+            self.write_hits += hit
+            self._all_writes += 1
+        else:
+            self.read_hits += hit
+            self._all_reads += 1
         lanes = np.flatnonzero(~hit)
-        if lanes.size:
-            self._allocate_idx(set_index, line, lanes)
+        if lanes.size and (self._allocate_on_write or not is_write):
+            self._allocate(lanes, _pick(set_index, lanes), line)
         return lanes
 
-    def write(self, byte_address: int) -> Any:
-        """Vectorized ``Cache.write``; returns the miss-lane indices."""
-        np = _np
-        line = byte_address >> self.line_shift
-        set_index = self._set_index(line)
-        matches = self._gather_ways(set_index) == line
+    def access_idx(self, lanes: Any, addrs: Any, is_write: bool) -> Any:
+        """``Cache.read``/``write`` of one address per indexed lane;
+        returns the per-lane hit mask."""
+        lines = addrs >> self.line_shift
+        sets = self._set_index_idx(lanes, lines)
+        matches = self.tags[lanes, sets] == lines[:, None]
         hit = matches.any(axis=1)
-        if self._needs_touch:
-            self.repl.touch(set_index, matches.argmax(axis=1), hit)
-        self.write_hits += hit
-        self._writes += 1
-        lanes = np.flatnonzero(~hit)
-        if lanes.size and self._allocate_on_write:
-            self._allocate_idx(set_index, line, lanes)
-        return lanes
+        if self._needs_touch and hit.any():
+            self.repl.touch(lanes[hit], sets[hit], matches[hit].argmax(axis=1))
+        if is_write:
+            self.write_hits[lanes] += hit
+            self.writes[lanes] += 1
+        else:
+            self.read_hits[lanes] += hit
+            self.reads[lanes] += 1
+        if (self._allocate_on_write or not is_write) and not hit.all():
+            miss = ~hit
+            self._allocate(lanes[miss], sets[miss], lines[miss])
+        return hit
 
-    def stats_for(self, run: int) -> CacheStats:
-        """Per-run counters as a scalar-shaped :class:`CacheStats`."""
-        read_hits = int(self.read_hits[run])
-        write_hits = int(self.write_hits[run])
+    def stats_for(self, lane: int) -> CacheStats:
+        """Per-lane counters as a scalar-shaped :class:`CacheStats`."""
+        read_hits = int(self.read_hits[lane])
+        write_hits = int(self.write_hits[lane])
         return CacheStats(
             read_hits=read_hits,
-            read_misses=self._reads - read_hits,
+            read_misses=self._all_reads + int(self.reads[lane]) - read_hits,
             write_hits=write_hits,
-            write_misses=self._writes - write_hits,
-            evictions=int(self.evictions[run]),
+            write_misses=self._all_writes + int(self.writes[lane]) - write_hits,
+            evictions=int(self.evictions[lane]),
             flushes=0,
         )
 
 
 class _VecTlb:
-    """Fully-associative TLB with per-run entry stores."""
+    """Fully-associative TLB with per-lane entry stores."""
 
-    def __init__(
-        self,
-        cfg: TlbConfig,
-        seeds: Sequence[int],
-        runs: int,
-        prng_mode: str = "exact",
-    ) -> None:
+    def __init__(self, cfg: TlbConfig, seeds: Sequence[int]) -> None:
         np = _np
-        self.cfg = cfg
-        self.entries_per_run = cfg.entries
-        self._rows = np.arange(runs)
-        self.entries = np.full((runs, cfg.entries), -1, dtype=np.int64)
-        self.valid = np.zeros(runs, dtype=np.int64)
-        prng = (
-            _make_vec_prng(prng_mode, seeds)
-            if cfg.replacement == "random"
-            else None
-        )
-        self.repl = _make_vec_replacement(
-            cfg.replacement, runs, 1, cfg.entries, prng
-        )
+        lanes = len(seeds)
+        self.entries_per_lane = cfg.entries
+        self.entries = np.full((lanes, cfg.entries), -1, dtype=np.int64)
+        self.valid = np.zeros(lanes, dtype=np.int64)
+        self.repl = _make_replacement(cfg.replacement, seeds, 1, cfg.entries)
         self._needs_touch = self.repl.needs_touch
-        self.hits = np.zeros(runs, dtype=np.int64)
-        self._lookups = 0
+        self._penalty = cfg.walk_penalty_cycles
+        self.hits = np.zeros(lanes, dtype=np.int64)
+        self.lookups = np.zeros(lanes, dtype=np.int64)
+        self._all_lookups = 0
+
+    def _fill(self, lanes: Any, pages: Any) -> None:
+        way = self.valid[lanes]
+        full_sel = way >= self.entries_per_lane
+        full_lanes = lanes[full_sel]
+        if full_lanes.size:
+            way[full_sel] = self.repl.victim(full_lanes, 0)
+            free_lanes = lanes[~full_sel]
+            if free_lanes.size:
+                self.valid[free_lanes] += 1
+        else:
+            self.valid[lanes] += 1
+        self.entries[lanes, way] = pages
+        self.repl.fill(lanes, 0, way)
 
     def lookup(self, page: int, now: Any) -> None:
-        """Vectorized ``Tlb.lookup``: adds the walk penalty to ``now``
-        in place on the miss lanes."""
+        """Broadcast ``Tlb.lookup`` of one page on every lane: adds the
+        walk penalty to ``now`` in place on the miss lanes."""
         np = _np
         matches = self.entries == page
         hit = matches.any(axis=1)
         if self._needs_touch:
-            self.repl.touch(0, matches.argmax(axis=1), hit)
+            lanes = np.flatnonzero(hit)
+            if lanes.size:
+                self.repl.touch(lanes, 0, matches.argmax(axis=1)[lanes])
         self.hits += hit
-        self._lookups += 1
+        self._all_lookups += 1
         lanes = np.flatnonzero(~hit)
         if lanes.size:
-            way_new = self.valid[lanes]
-            full_sel = way_new >= self.entries_per_run
-            full_lanes = lanes[full_sel]
-            if full_lanes.size:
-                way_new[full_sel] = self.repl.victim_idx(0, full_lanes)
-                free_lanes = lanes[~full_sel]
-                if free_lanes.size:
-                    self.valid[free_lanes] += 1
-            else:
-                self.valid[lanes] += 1
-            self.entries[lanes, way_new] = page
-            self.repl.fill_idx(0, way_new, lanes)
-            now[lanes] += self.cfg.walk_penalty_cycles
+            self._fill(lanes, page)
+            now[lanes] += self._penalty
 
-    def stats_for(self, run: int) -> TlbStats:
-        """Per-run counters as a scalar-shaped :class:`TlbStats`."""
-        hits = int(self.hits[run])
-        return TlbStats(hits=hits, misses=self._lookups - hits)
+    def lookup_idx(self, lanes: Any, pages: Any) -> Any:
+        """``Tlb.lookup`` of one page per indexed lane; returns the
+        per-lane added latency."""
+        matches = self.entries[lanes] == pages[:, None]
+        hit = matches.any(axis=1)
+        if self._needs_touch and hit.any():
+            self.repl.touch(lanes[hit], 0, matches[hit].argmax(axis=1))
+        self.hits[lanes] += hit
+        self.lookups[lanes] += 1
+        if not hit.all():
+            miss = ~hit
+            self._fill(lanes[miss], pages[miss])
+        return (~hit) * self._penalty
+
+    def stats_for(self, lane: int) -> TlbStats:
+        """Per-lane counters as a scalar-shaped :class:`TlbStats`."""
+        hits = int(self.hits[lane])
+        lookups = self._all_lookups + int(self.lookups[lane])
+        return TlbStats(hits=hits, misses=lookups - hits)
 
 
 class _VecBus:
-    """Single-master-per-engine view of the shared bus, per-run horizon.
+    """Shared bus with per-run arbitration state.
 
-    Only this engine's core ever requests, so the round-robin pointer
-    takes exactly two values per lane: 0 (never requested) or
-    ``core_id + 1`` (requested before). Arbitration delay therefore
-    collapses to a two-case constant selected by a ``requested`` flag —
-    no pointer array, no modulo per request.
+    :meth:`request` mirrors :class:`~repro.platform.bus.Bus` exactly for
+    several issuing cores: one busy horizon and round-robin grant
+    pointer per run, aggregate plus per-master contention/transaction
+    splits (kept per core on the (cores, runs) grid; :meth:`stats_for`
+    reconstructs ``BusStats``'s dicts with keys exactly for masters that
+    issued at least one transaction, as the scalar dict-growing updates
+    do).
+
+    The broadcast methods serve the segment loop, whose core is the
+    only master that ever requests: the grant pointer then takes exactly
+    two values per run — 0 (never requested) or ``core_id + 1`` — so the
+    arbitration delay collapses to a two-case constant selected by a
+    ``requested`` flag, and only the contention counter its
+    :class:`RunResult` reports is kept.
     """
 
-    def __init__(self, cfg: BusConfig, runs: int, core_id: int) -> None:
+    def __init__(self, cfg: BusConfig, runs: int, core_ids: Sequence[int]) -> None:
         np = _np
-        self.cfg = cfg
-        self.core_id = core_id
+        masters = cfg.num_masters
+        self.num_masters = masters
+        self.core_ids = list(core_ids)
+        self._master_ids = np.array(core_ids, dtype=np.int64)
         self.busy_until = np.zeros(runs, dtype=np.int64)
+        self.pointer = np.zeros(runs, dtype=np.int64)
+        self.transactions = np.zeros(runs, dtype=np.int64)
         self.contention = np.zeros(runs, dtype=np.int64)
-        self._requested = np.zeros(runs, dtype=bool)
+        self.transfer_total = np.zeros(runs, dtype=np.int64)
+        self.transactions_by_core = np.zeros((len(core_ids), runs), dtype=np.int64)
+        self.contention_by_core = np.zeros((len(core_ids), runs), dtype=np.int64)
         self._line_cost = cfg.line_transfer_cycles + cfg.arbitration_cycles
         self._word_cost = cfg.word_transfer_cycles + cfg.arbitration_cycles
-        masters = cfg.num_masters
+        self._arb = cfg.arbitration_cycles
+        self._strict = cfg.strict_rr_arbitration
+        self._requested = np.zeros(runs, dtype=bool)
         self._multi = masters > 1
-        if self._multi:
-            first = core_id % masters  # pointer 0 -> distance = core_id
-            again = masters - 1  # pointer core_id+1 -> full rotation
-            if cfg.strict_rr_arbitration:
-                self._delay_first = first * cfg.arbitration_cycles
-                self._delay_again = again * cfg.arbitration_cycles
-            else:
-                self._delay_first = 0 if first == 0 else cfg.arbitration_cycles
-                self._delay_again = 0 if again == 0 else cfg.arbitration_cycles
-        else:
-            self._delay_first = 0
-            self._delay_again = 0
+        # Pointer 0 -> distance core_id; pointer core_id+1 -> a full
+        # rotation.
+        self._delay_first = int(self._delay(core_ids[0] % masters))
+        self._delay_again = int(self._delay(masters - 1))
 
-    def request_idx(self, now: Any, is_line: bool, lanes: Any) -> None:
-        """``Bus.request`` on the given lanes; advances ``now`` in place
-        by wait + transfer, as the scalar caller does."""
+    def _delay(self, distance: Any) -> Any:
+        """Arbitration delay of a grant ``distance`` masters past the
+        round-robin pointer."""
+        if self._strict:
+            return distance * self._arb
+        return _np.where(distance == 0, 0, self._arb)
+
+    def request(self, rows: Any, run_sel: Any, now: Any, is_line: bool) -> Any:
+        """Vectorized ``Bus.request``: one transaction per indexed run.
+
+        ``rows`` holds the issuing cores' *row* indices (positions in
+        ``core_ids``), ``run_sel`` the unique run indices and ``now``
+        the issuers' local times.  Returns the wait+transfer cost.
+        """
+        np = _np
+        wait = self.busy_until[run_sel] - now
+        np.maximum(wait, 0, out=wait)
+        masters = self.num_masters
+        master_ids = self._master_ids[rows]
+        if self._multi:
+            wait += self._delay((master_ids - self.pointer[run_sel]) % masters)
+        transfer = self._line_cost if is_line else self._word_cost
+        total = wait + transfer
+        self.busy_until[run_sel] = now + total
+        self.pointer[run_sel] = (master_ids + 1) % masters
+        self.transactions[run_sel] += 1
+        self.contention[run_sel] += wait
+        self.transfer_total[run_sel] += transfer
+        self.transactions_by_core[rows, run_sel] += 1
+        self.contention_by_core[rows, run_sel] += wait
+        return total
+
+    def request_lanes(self, now: Any, is_line: bool, lanes: Any) -> None:
+        """Segment-loop ``Bus.request`` on the given runs; advances
+        ``now`` in place by wait + transfer, as the scalar caller does."""
         np = _np
         now_l = now[lanes]
         wait = self.busy_until[lanes] - now_l
@@ -964,14 +947,13 @@ class _VecBus:
         now[lanes] = done
 
     def request_all(self, now: Any, is_line: bool) -> Any:
-        """``Bus.request`` on every lane; returns the per-lane cost."""
+        """Segment-loop ``Bus.request`` on every run; returns the
+        per-run cost."""
         np = _np
         wait = self.busy_until - now
         np.maximum(wait, 0, out=wait)
         if self._multi:
-            wait += np.where(
-                self._requested, self._delay_again, self._delay_first
-            )
+            wait += np.where(self._requested, self._delay_again, self._delay_first)
             self._requested[:] = True
         transfer = self._line_cost if is_line else self._word_cost
         cost = wait + transfer
@@ -979,13 +961,32 @@ class _VecBus:
         self.contention += wait
         return cost
 
+    def stats_for(self, run: int) -> BusStats:
+        """Per-run counters as a scalar-shaped :class:`BusStats`."""
+        transactions: Dict[int, int] = {}
+        contention: Dict[int, int] = {}
+        for index, core_id in enumerate(self.core_ids):
+            count = int(self.transactions_by_core[index, run])
+            if count > 0:
+                transactions[core_id] = count
+                contention[core_id] = int(self.contention_by_core[index, run])
+        return BusStats(
+            transactions=int(self.transactions[run]),
+            contention_cycles=int(self.contention[run]),
+            transfer_cycles=int(self.transfer_total[run]),
+            contention_by_master=contention,
+            transactions_by_master=transactions,
+        )
+
 
 class _VecMemory:
     """DRAM controller with per-run open-row and refresh state.
 
-    The default configuration (closed-page, no refresh) makes every
-    access a compile-time-constant cost — returned as a plain int so
-    the caller's ``now`` update is one scalar broadcast.
+    :meth:`access` keeps the full per-run :class:`MemoryStats`
+    breakdown.  The broadcast methods keep no counters (a single-core
+    :class:`RunResult` reports none), and on the default configuration
+    (closed-page, no refresh) every access is a compile-time-constant
+    cost, so the caller's ``now`` update is one scalar broadcast.
     """
 
     def __init__(self, cfg: MemoryConfig, runs: int) -> None:
@@ -995,19 +996,26 @@ class _VecMemory:
         if not self._closed:
             self.open_rows = np.full((runs, cfg.num_banks), -1, dtype=np.int64)
         self._refresh = cfg.refresh_interval_cycles > 0
+        self._constant = self._closed and not self._refresh
         self._read_cost = cfg.cas_cycles + cfg.activate_cycles
         self._write_cost = self._read_cost + cfg.write_cycles
+        self.reads = np.zeros(runs, dtype=np.int64)
+        self.writes = np.zeros(runs, dtype=np.int64)
+        self.row_hits = np.zeros(runs, dtype=np.int64)
+        self.row_conflicts = np.zeros(runs, dtype=np.int64)
+        self.refresh_stalls = np.zeros(runs, dtype=np.int64)
+        self.total_cycles = np.zeros(runs, dtype=np.int64)
 
-    def _row_cost(self, byte_address: int, is_write: bool, lanes: Any) -> Any:
-        """Open-page cost on the given lanes (or all lanes for
+    def _row_cost(self, runs: Any, addrs: Any, is_write: bool) -> Tuple[Any, Any, Any]:
+        """Open-page ``(cost, empty, conflict)`` on the given runs (or
         ``slice(None)``), updating the per-bank open rows."""
         np = _np
         cfg = self.cfg
         cycles = cfg.cas_cycles + (cfg.write_cycles if is_write else 0)
-        row_index = byte_address // cfg.row_bytes
+        row_index = addrs // cfg.row_bytes
         bank = row_index % cfg.num_banks
         row = row_index // cfg.num_banks
-        open_row = self.open_rows[lanes, bank]
+        open_row = self.open_rows[runs, bank]
         empty = open_row < 0
         conflict = (open_row != row) & ~empty
         cost = (
@@ -1015,62 +1023,102 @@ class _VecMemory:
             + np.where(empty, cfg.activate_cycles, 0)
             + np.where(conflict, cfg.precharge_cycles + cfg.activate_cycles, 0)
         )
-        self.open_rows[lanes, bank] = row
-        return cost
+        self.open_rows[runs, bank] = row
+        return cost, empty, conflict
 
     def _refresh_stall(self, now: Any) -> Any:
         # Refresh phase is 0 after every platform reset (the run
         # protocol never calls set_refresh_phase), so ``now`` alone
-        # determines the collision per lane.
+        # determines the collision per run.
         np = _np
         cfg = self.cfg
         position = now % cfg.refresh_interval_cycles
         stalled = position < cfg.refresh_stall_cycles
         return np.where(stalled, cfg.refresh_stall_cycles - position, 0)
 
-    def access_idx(
-        self, byte_address: int, is_write: bool, now: Any, lanes: Any
-    ) -> None:
-        """``MemoryController.access`` on the given lanes; advances
-        ``now`` in place."""
-        if self._closed and not self._refresh:
-            now[lanes] += self._write_cost if is_write else self._read_cost
-            return
-        if self._closed:
-            cost = self._write_cost if is_write else self._read_cost
-        else:
-            cost = self._row_cost(byte_address, is_write, lanes)
-        if self._refresh:
-            cost = cost + self._refresh_stall(now[lanes])
-        now[lanes] += cost
-
-    def access_all(self, byte_address: int, is_write: bool, now: Any) -> Any:
-        """``MemoryController.access`` on every lane; returns the cost
-        (an int when it is lane-invariant)."""
-        if self._closed and not self._refresh:
-            return self._write_cost if is_write else self._read_cost
-        if self._closed:
-            cost: Any = self._write_cost if is_write else self._read_cost
-        else:
-            cost = self._row_cost(byte_address, is_write, slice(None))
+    def _latency(self, runs: Any, addrs: Any, is_write: bool, now: Any) -> Any:
+        cost: Any = self._write_cost if is_write else self._read_cost
+        if not self._closed:
+            cost = self._row_cost(runs, addrs, is_write)[0]
         if self._refresh:
             cost = cost + self._refresh_stall(now)
         return cost
 
+    def access(self, run_sel: Any, addrs: Any, is_write: bool, now: Any) -> Any:
+        """Vectorized ``MemoryController.access`` for the indexed runs,
+        issued at ``now``.  Returns the device latency — a plain int on
+        the constant closed-page path, else a per-run array."""
+        cost: Any = self._write_cost if is_write else self._read_cost
+        if not self._closed:
+            cost, empty, conflict = self._row_cost(run_sel, addrs, is_write)
+            self.row_hits[run_sel] += ~(empty | conflict)
+            self.row_conflicts[run_sel] += conflict
+        (self.writes if is_write else self.reads)[run_sel] += 1
+        if self._refresh:
+            stall = self._refresh_stall(now)
+            self.refresh_stalls[run_sel] += stall > 0
+            cost = cost + stall
+        self.total_cycles[run_sel] += cost
+        return cost
+
+    def access_lanes(
+        self, byte_address: int, is_write: bool, now: Any, lanes: Any
+    ) -> None:
+        """Segment-loop access on the given runs; advances ``now``
+        in place."""
+        if self._constant:
+            now[lanes] += self._write_cost if is_write else self._read_cost
+        else:
+            now[lanes] += self._latency(lanes, byte_address, is_write, now[lanes])
+
+    def access_all(self, byte_address: int, is_write: bool, now: Any) -> Any:
+        """Segment-loop access on every run; returns the cost (an int
+        when it is run-invariant)."""
+        return self._latency(slice(None), byte_address, is_write, now)
+
+    def stats_for(self, run: int) -> MemoryStats:
+        """Per-run counters as a scalar-shaped :class:`MemoryStats`."""
+        return MemoryStats(
+            reads=int(self.reads[run]),
+            writes=int(self.writes[run]),
+            row_hits=int(self.row_hits[run]),
+            row_conflicts=int(self.row_conflicts[run]),
+            refresh_stalls=int(self.refresh_stalls[run]),
+            total_cycles=int(self.total_cycles[run]),
+        )
+
 
 class _VecStoreBuffer:
-    """Per-run write-through store buffer as a FIFO ring."""
+    """Per-lane write-through store buffer as a FIFO ring.
 
-    def __init__(self, runs: int, depth: int) -> None:
+    The scalar store path drains ready entries *before every store* and
+    then stalls on a still-full buffer.  The broadcast methods do
+    exactly that on every lane (:meth:`drain`, :meth:`stall_if_full`,
+    :meth:`push_all`): the segment loop restarts its clock every
+    segment while the ring carries over, so its per-lane time is not
+    monotone and the drain must be eager.
+
+    The co-scheduled step loop's per-lane clocks only move forward, so
+    :meth:`prepare_store` drains lazily.  Draining is observable only
+    through the full check (entry ready times are fixed at push time),
+    so the ring is drained exactly when a store finds the lane full.  At
+    that moment the set of entries with ``ready <= now`` equals the set
+    the scalar path would have popped across its earlier per-store
+    drains (``now`` is monotone per lane), so the post-drain occupancy —
+    and hence the stall decision — is bit-identical.
+    """
+
+    def __init__(self, lanes: int, depth: int) -> None:
         np = _np
         self.depth = depth
-        self.ready = np.zeros((runs, depth), dtype=np.int64)
-        self.head = np.zeros(runs, dtype=np.int64)
-        self.count = np.zeros(runs, dtype=np.int64)
-        self._rows = np.arange(runs)
+        self.ready = np.zeros((lanes, depth), dtype=np.int64)
+        self.head = np.zeros(lanes, dtype=np.int64)
+        self.count = np.zeros(lanes, dtype=np.int64)
+        self._rows = np.arange(lanes)
+        self._offsets = np.arange(depth)[None, :]
 
     def drain(self, now: Any) -> None:
-        """Pop every leading entry already drained at ``now``, per run."""
+        """Pop every leading entry already drained at ``now``, per lane."""
         np = _np
         while True:
             has = self.count > 0
@@ -1084,8 +1132,8 @@ class _VecStoreBuffer:
             self.count -= pop
 
     def stall_if_full(self, now: Any) -> Any:
-        """Scalar semantics: a store into a full buffer waits for the
-        oldest entry; returns the (possibly advanced) ``now``."""
+        """A store into a full buffer waits for the oldest entry;
+        returns the (possibly advanced) ``now``."""
         np = _np
         full = self.count >= self.depth
         if full.any():
@@ -1095,15 +1143,102 @@ class _VecStoreBuffer:
             self.count -= full
         return now
 
-    def push(self, ready_at: Any) -> None:
-        """Append one entry on every lane (store events are trace-pure)."""
+    def push_all(self, ready_at: Any) -> None:
+        """Append one entry on every lane."""
         tail = (self.head + self.count) % self.depth
         self.ready[self._rows, tail] = ready_at
         self.count += 1
 
+    def prepare_store(self, lanes: Any, now: Any) -> None:
+        """Make room for one entry per indexed lane: lazy drain of full
+        lanes, then the scalar full-buffer stall (``now`` is advanced in
+        place to the oldest entry's ready time on stalled lanes)."""
+        np = _np
+        full = self.count[lanes] >= self.depth
+        if full.any():
+            full_lanes = lanes[full]
+            self._drain_idx(full_lanes, now[full_lanes])
+            still = self.count[full_lanes] >= self.depth
+            if still.any():
+                stalled = full_lanes[still]
+                head = self.head[stalled]
+                now[stalled] = np.maximum(now[stalled], self.ready[stalled, head])
+                self.head[stalled] = (head + 1) % self.depth
+                self.count[stalled] -= 1
+
+    def _drain_idx(self, lanes: Any, now: Any) -> None:
+        """Pop every leading entry already drained at ``now``.
+
+        Gathers each lane's ring in FIFO order and pops the longest
+        ready *prefix* — a ready entry queued behind a stalled one stays
+        buffered, exactly as in the scalar pop-while-ready loop.
+        """
+        np = _np
+        head = self.head[lanes]
+        slots = (head[:, None] + self._offsets) % self.depth
+        fifo = self.ready[lanes[:, None], slots]
+        poppable = (fifo <= now[:, None]) & (
+            self._offsets < self.count[lanes][:, None]
+        )
+        pops = np.logical_and.accumulate(poppable, axis=1).sum(axis=1)
+        self.head[lanes] = (head + pops) % self.depth
+        self.count[lanes] -= pops
+
+    def push(self, lanes: Any, ready_at: Any) -> None:
+        """Append one entry per indexed lane."""
+        tail = (self.head[lanes] + self.count[lanes]) % self.depth
+        self.ready[lanes, tail] = ready_at
+        self.count[lanes] += 1
+
+
+def _private_components(
+    core_cfg: CoreConfig, seeds: Sequence[int], core_ids: Sequence[int]
+) -> Tuple[_VecCache, _VecCache, _VecTlb, _VecTlb]:
+    """IL1, DL1, ITLB and DTLB lanes for every (core, run) pair.
+
+    Seeds follow the scalar reset path — per-core seed, then one
+    sub-seed per component — so every lane replays its scalar streams.
+    Lanes are core-major: lane ``ci * len(seeds) + r`` is core
+    ``core_ids[ci]`` in run ``r``.
+    """
+    columns: Tuple[List[int], ...] = ([], [], [], [])
+    for core_id in core_ids:
+        for seed in seeds:
+            core_seed = derive_seed(seed, core_id + 101)
+            for component, column in enumerate(columns):
+                column.append(derive_seed(core_seed, core_id, component))
+    icache_seeds, dcache_seeds, itlb_seeds, dtlb_seeds = columns
+    return (
+        _VecCache(core_cfg.icache, icache_seeds),
+        _VecCache(core_cfg.dcache, dcache_seeds),
+        _VecTlb(core_cfg.itlb, itlb_seeds),
+        _VecTlb(core_cfg.dtlb, dtlb_seeds),
+    )
+
+
+def _clone_result(result: RunResult) -> RunResult:
+    """``result`` with fresh stats objects.
+
+    Deterministic platforms broadcast one reference execution to every
+    run — exact because no component of a non-randomized platform
+    consumes the per-run seed (modulo placement and LRU/FIFO/PLRU
+    replacement ignore it, the refresh phase resets to zero, the FPU is
+    a pure function of the trace).  The scalar path hands every run
+    independent (mutable) stats, so the broadcast must too.
+    """
+    return replace(
+        result,
+        icache=replace(result.icache),
+        dcache=replace(result.dcache),
+        itlb=replace(result.itlb),
+        dtlb=replace(result.dtlb),
+        fpu=replace(result.fpu),
+        pipeline=replace(result.pipeline),
+    )
+
 
 # ----------------------------------------------------------------------
-# Engine
+# Segment loop
 # ----------------------------------------------------------------------
 
 
@@ -1134,28 +1269,12 @@ class _BatchEngine:
         self.core_cfg = core_cfg
         self.core_id = core_id
         self.runs = len(seeds)
-        prng_mode = cfg.prng_mode
-        # The scalar reset path: per-core seed, then per-component
-        # sub-seeds — identical derivation chain, identical streams.
-        icache_seeds: List[int] = []
-        dcache_seeds: List[int] = []
-        itlb_seeds: List[int] = []
-        dtlb_seeds: List[int] = []
-        for seed in seeds:
-            core_seed = derive_seed(seed, core_id + 101)
-            icache_seeds.append(derive_seed(core_seed, core_id, 0))
-            dcache_seeds.append(derive_seed(core_seed, core_id, 1))
-            itlb_seeds.append(derive_seed(core_seed, core_id, 2))
-            dtlb_seeds.append(derive_seed(core_seed, core_id, 3))
-        self.icache = _VecCache(core_cfg.icache, icache_seeds, self.runs, prng_mode)
-        self.dcache = _VecCache(core_cfg.dcache, dcache_seeds, self.runs, prng_mode)
-        self.itlb = _VecTlb(core_cfg.itlb, itlb_seeds, self.runs, prng_mode)
-        self.dtlb = _VecTlb(core_cfg.dtlb, dtlb_seeds, self.runs, prng_mode)
-        self.bus = _VecBus(cfg.bus, self.runs, core_id)
-        self.memory = _VecMemory(cfg.memory, self.runs)
-        self.store_buffer = _VecStoreBuffer(
-            self.runs, core_cfg.store_buffer_depth
+        self.icache, self.dcache, self.itlb, self.dtlb = _private_components(
+            core_cfg, seeds, (core_id,)
         )
+        self.bus = _VecBus(cfg.bus, self.runs, (core_id,))
+        self.memory = _VecMemory(cfg.memory, self.runs)
+        self.store_buffer = _VecStoreBuffer(self.runs, core_cfg.store_buffer_depth)
 
     def run_segments(self, segments: Sequence[Trace]) -> BatchRunOutcome:
         np = _np
@@ -1166,14 +1285,13 @@ class _BatchEngine:
         bus = self.bus
         memory = self.memory
         store_buffer = self.store_buffer
-        dline_shift = dcache.line_shift
+        core_cfg = self.core_cfg
 
-        per_segment: List["object"] = []
-        pipeline_total = PipelineStats()
-        fpu_total = FpuStats()
+        per_segment: List[Any] = []
+        totals = [0] * _STAT_FIELDS
         instructions = 0
         for trace in segments:
-            compiled = _compiled_segment(trace, self.core_cfg)
+            compiled = _memoized(_compile_segment, trace, core_cfg)
             now = np.zeros(self.runs, dtype=np.int64)
             for (
                 gap,
@@ -1189,35 +1307,35 @@ class _BatchEngine:
                 if fetch_pc >= 0:
                     if itlb_page >= 0:
                         itlb.lookup(itlb_page, now)
-                    lanes = icache.read(fetch_pc)
+                    lanes = icache.access(fetch_pc, False)
                     if lanes.size:
-                        bus.request_idx(now, True, lanes)
-                        memory.access_idx(fetch_pc, False, now, lanes)
-                if mem_kind == _EV_NONE:
+                        bus.request_lanes(now, True, lanes)
+                        memory.access_lanes(fetch_pc, False, now, lanes)
+                if mem_kind == _MK_NONE:
                     continue
                 if pre_cost:
                     now += pre_cost
                 if dtlb_page >= 0:
                     dtlb.lookup(dtlb_page, now)
-                if mem_kind == _EV_LOAD:
-                    lanes = dcache.read(addr)
+                if mem_kind == _MK_LOAD:
+                    lanes = dcache.access(addr, False)
                     if lanes.size:
-                        bus.request_idx(now, True, lanes)
-                        memory.access_idx(addr, False, now, lanes)
+                        bus.request_lanes(now, True, lanes)
+                        memory.access_lanes(addr, False, now, lanes)
                 else:
-                    dcache.write(addr)
+                    dcache.access(addr, True)
                     store_buffer.drain(now)
                     now = store_buffer.stall_if_full(now)
                     cost = bus.request_all(now, False)
                     cost = cost + memory.access_all(addr, True, now)
-                    store_buffer.push(now + cost)
+                    store_buffer.push_all(now + cost)
             if compiled.tail:
                 now += compiled.tail
             per_segment.append(now)
             instructions += compiled.length
-            _accumulate_pipeline(pipeline_total, compiled.pipeline)
-            _accumulate_fpu(fpu_total, compiled.fpu)
+            totals = [a + b for a, b in zip(totals, compiled.totals)]
 
+        pipeline, fpu = _stats_from_counters(totals)
         segment_cycles = [
             tuple(int(seg[run]) for seg in per_segment)
             for run in range(self.runs)
@@ -1230,8 +1348,8 @@ class _BatchEngine:
                 dcache=dcache.stats_for(run),
                 itlb=itlb.stats_for(run),
                 dtlb=dtlb.stats_for(run),
-                fpu=replace(fpu_total),
-                pipeline=replace(pipeline_total),
+                fpu=replace(fpu),
+                pipeline=replace(pipeline),
                 core_id=self.core_id,
                 bus_contention_cycles=int(bus.contention[run]),
             )
@@ -1245,68 +1363,30 @@ class _BatchEngine:
         )
 
 
-def _accumulate_pipeline(total: PipelineStats, part: PipelineStats) -> None:
-    total.instructions += part.instructions
-    total.base_cycles += part.base_cycles
-    total.branch_bubbles += part.branch_bubbles
-    total.load_use_stalls += part.load_use_stalls
-    total.long_op_stalls += part.long_op_stalls
-
-
-def _accumulate_fpu(total: FpuStats, part: FpuStats) -> None:
-    total.ops += part.ops
-    total.div_ops += part.div_ops
-    total.sqrt_ops += part.sqrt_ops
-    total.total_cycles += part.total_cycles
-
-
 def _run_degenerate(
     platform: Platform,
     segments: Sequence[Trace],
     seeds: Sequence[int],
     core_id: int,
 ) -> BatchRunOutcome:
-    """Deterministic platform: measure once, broadcast to every run.
-
-    Exact because no component of a non-randomized platform consumes
-    the per-run seed (modulo placement and LRU/FIFO/PLRU replacement
-    ignore it, the refresh phase resets to zero, the FPU is a pure
-    function of the trace).
-    """
+    """Deterministic platform: measure once, broadcast to every run
+    (see :func:`_clone_result`)."""
     platform.reset(seeds[0])
     core = platform.cores[core_id]
-    cycles: List[int] = []
-    last = None
-    for trace in segments:
-        last = core.execute(trace)
-        cycles.append(last.cycles)
-    if last is None:
-        raise ValueError("segments must not be empty")
-
-    def clone_result() -> RunResult:
-        # Fresh stats objects per run: the scalar path hands every run
-        # independent (mutable) stats, so the broadcast must too.
-        return RunResult(
-            cycles=sum(cycles),
-            instructions=sum(len(trace) for trace in segments),
-            icache=replace(last.icache),
-            dcache=replace(last.dcache),
-            itlb=replace(last.itlb),
-            dtlb=replace(last.dtlb),
-            fpu=replace(last.fpu),
-            pipeline=replace(last.pipeline),
-            core_id=core_id,
-            bus_contention_cycles=platform.bus.stats.contention_by_master.get(
-                core_id, 0
-            ),
-        )
-
-    segment_cycles = tuple(cycles)
+    measured = [core.execute(trace) for trace in segments]
+    cycles = tuple(result.cycles for result in measured)
+    instructions = sum(len(trace) for trace in segments)
+    reference = replace(
+        measured[-1],
+        cycles=sum(cycles),
+        instructions=instructions,
+        bus_contention_cycles=platform.bus.stats.contention_by_master.get(core_id, 0),
+    )
     return BatchRunOutcome(
         seeds=tuple(seeds),
-        segment_cycles=[segment_cycles for _ in seeds],
-        instructions=sum(len(trace) for trace in segments),
-        results=[clone_result() for _ in seeds],
+        segment_cycles=[cycles for _ in seeds],
+        instructions=instructions,
+        results=[_clone_result(reference) for _ in seeds],
     )
 
 

@@ -26,7 +26,7 @@ from typing import List, Optional
 
 from .placement import PlacementPolicy, make_placement
 from .replacement import RandomReplacement, ReplacementPolicy, make_replacement
-from .prng import PlatformPrng
+from .prng import CombinedLfsrPrng
 
 __all__ = ["CacheConfig", "CacheStats", "Cache"]
 
@@ -125,7 +125,7 @@ class Cache:
     def __init__(
         self,
         config: CacheConfig,
-        prng: Optional[PlatformPrng] = None,
+        prng: Optional[CombinedLfsrPrng] = None,
         name: str = "cache",
     ) -> None:
         self.config = config

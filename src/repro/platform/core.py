@@ -40,7 +40,7 @@ from .cache import Cache, CacheConfig, CacheStats
 from .fpu import FpOp, Fpu, FpuConfig, FpuStats
 from .memory import MemoryController
 from .pipeline import PipelineConfig, PipelineModel, PipelineStats
-from .prng import derive_seed, make_platform_prng
+from .prng import CombinedLfsrPrng, derive_seed
 from .tlb import Tlb, TlbConfig, TlbStats
 from .trace import InstrKind, Trace
 
@@ -116,36 +116,25 @@ class Core:
         config: CoreConfig,
         bus: Bus,
         memory: MemoryController,
-        prng_mode: str = "exact",
     ) -> None:
         self.core_id = core_id
         self.config = config
         self.bus = bus
         self.memory = memory
-        self.prng_mode = prng_mode
         # Each randomized component gets its own PRNG instance so that
         # victim draws in one cache never perturb another; all are
-        # reseeded from the single per-run seed in prepare_run().  The
-        # placeholder seeds (1..4) never reach a measured run.
+        # reseeded from the single per-run seed in prepare_run().
         self.icache = Cache(
-            config.icache,
-            prng=make_platform_prng(prng_mode, 1),
-            name=f"core{core_id}.il1",
+            config.icache, prng=CombinedLfsrPrng(1), name=f"core{core_id}.il1"
         )
         self.dcache = Cache(
-            config.dcache,
-            prng=make_platform_prng(prng_mode, 2),
-            name=f"core{core_id}.dl1",
+            config.dcache, prng=CombinedLfsrPrng(2), name=f"core{core_id}.dl1"
         )
         self.itlb = Tlb(
-            config.itlb,
-            prng=make_platform_prng(prng_mode, 3),
-            name=f"core{core_id}.itlb",
+            config.itlb, prng=CombinedLfsrPrng(3), name=f"core{core_id}.itlb"
         )
         self.dtlb = Tlb(
-            config.dtlb,
-            prng=make_platform_prng(prng_mode, 4),
-            name=f"core{core_id}.dtlb",
+            config.dtlb, prng=CombinedLfsrPrng(4), name=f"core{core_id}.dtlb"
         )
         self.fpu = Fpu(config.fpu)
         self.pipeline = PipelineModel(config.pipeline)

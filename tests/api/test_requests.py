@@ -1,6 +1,7 @@
 """The unified request-object surface: validation, round-trips,
 digests, and the deprecated kwarg shims that now delegate to it."""
 
+import hashlib
 import json
 from dataclasses import replace
 
@@ -21,6 +22,7 @@ from repro.harness import (
     compare_scenarios,
     compare_scenarios_request,
 )
+from repro.platform.batch import numpy_available
 
 SMALL = dict(
     workload="matmul",
@@ -159,6 +161,39 @@ class TestDigests:
         a = CampaignRequest(**SMALL)
         b = replace(a, platform_kwargs={"num_cores": 1, "cache_kb": 8})
         assert a.execution_digest() != b.execution_digest()
+
+
+class TestLegacyDrawModeKey:
+    """Old clients and stored job snapshots may still carry the removed
+    ``prng_mode`` key."""
+
+    def test_exact_key_is_accepted_and_ignored(self):
+        payload = CampaignRequest(**SMALL).to_dict()
+        assert "prng_mode" not in payload
+        legacy = CampaignRequest.from_dict(dict(payload, prng_mode="exact"))
+        assert legacy == CampaignRequest.from_dict(payload)
+        assert legacy.execution_digest() == CampaignRequest(**SMALL).execution_digest()
+
+    def test_removed_mode_is_rejected(self):
+        payload = dict(CampaignRequest(**SMALL).to_dict(), prng_mode="fast-parity")
+        with pytest.raises(ValueError, match="'fast-parity' has been removed"):
+            CampaignRequest.from_dict(payload)
+
+
+class TestBytePins:
+    @pytest.mark.skipif(not numpy_available(), reason="batch backend requires numpy")
+    def test_digest_and_artifact_bytes_are_pinned(self):
+        # Recorded values: stores key artifacts by execution digest and
+        # diff them byte for byte, so neither the vector engines nor the
+        # request surface may move either hash.
+        request = CampaignRequest(backend="batch", vary_inputs=False, **SMALL)
+        assert request.execution_digest() == (
+            "1069fc28864fc2f1e5a4215da57d23fddb2a69b9120c734df3880f57bdec9e10"
+        )
+        artifact = execute_request(request).artifact().to_json()
+        assert hashlib.sha256(artifact.encode("utf-8")).hexdigest() == (
+            "d87f929ed849c010e99224d6bdf14aa2fde0165005d9b0a268b753b60fcac66a"
+        )
 
 
 class TestExecution:

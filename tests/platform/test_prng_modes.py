@@ -1,21 +1,11 @@
-"""The fast-parity PRNG mode: scalar generator, vectorized parity and
-distribution equivalence with the exact SIL3 LFSR model.
+"""The platform PRNG's distribution gates and its vector lanes.
 
-The mode's contract has three legs, each pinned here:
-
-* **Scalar semantics** — :class:`FastParityPrng` is a seeded,
-  reproducible counter generator with the full platform-PRNG surface
-  (``next_bit``/``next_bits``/``randint``/``random``/``fork``) and no
-  rejection loop, and it passes the same FIPS-style health battery the
-  LFSR model does.
-* **Vector parity** — the batch engine's lane generators
-  (``_VecPrng``, ``_VecFastPrng``) replay their scalar counterparts
-  bit-for-bit, whether lanes are advanced through boolean masks or
-  through index lists (the two call forms the engine mixes freely).
-* **Distribution equivalence** — fast-parity draws are
-  indistinguishable-in-distribution from exact draws (chi-square /
-  KS / bit balance), which is what makes the mode a valid MBPTA
-  measurement protocol even though individual cycle counts differ.
+* **Distribution** — :class:`CombinedLfsrPrng` draws are uniform
+  (chi-square / KS / bit balance), seeded so the gates never flake.
+* **Vector parity** — :class:`~repro.platform.batch._VecPrng` keeps one
+  :class:`CombinedLfsrPrng` state per lane and advances only the lanes
+  a draw indexes; every lane must emit exactly the scalar generator's
+  stream, whatever subsets of lanes the engine draws for.
 """
 
 import pytest
@@ -23,165 +13,45 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.platform.batch import numpy_available
-from repro.platform.prng import (
-    PRNG_MODES,
-    CombinedLfsrPrng,
-    FastParityPrng,
-    make_platform_prng,
-    run_health_tests,
-    validate_prng_mode,
-)
-from repro.platform.soc import leon3_rand
+from repro.platform.prng import CombinedLfsrPrng
 
 
-class TestModeRegistry:
-    def test_modes_are_exact_and_fast_parity(self):
-        assert PRNG_MODES == ("exact", "fast-parity")
-
-    def test_validate_accepts_known(self):
-        for mode in PRNG_MODES:
-            assert validate_prng_mode(mode) == mode
-
-    def test_validate_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown prng_mode"):
-            validate_prng_mode("lfsr")
-
-    def test_factory_builds_the_right_generator(self):
-        assert isinstance(make_platform_prng("exact", 7), CombinedLfsrPrng)
-        assert isinstance(
-            make_platform_prng("fast-parity", 7), FastParityPrng
-        )
-
-    def test_platform_config_validates_mode(self):
-        with pytest.raises(ValueError, match="unknown prng_mode"):
-            leon3_rand(prng_mode="bogus")
-
-
-class TestFastParityScalar:
-    def test_seed_is_required(self):
-        # REP001: a seedless construction would be a hidden global
-        # entropy source — the constructor refuses to have a default.
-        with pytest.raises(TypeError):
-            FastParityPrng()  # type: ignore[call-arg]
-
-    def test_deterministic_given_seed(self):
-        a = FastParityPrng(2017)
-        b = FastParityPrng(2017)
-        assert [a.next_bits(32) for _ in range(64)] == [
-            b.next_bits(32) for _ in range(64)
-        ]
-
-    def test_reseed_reproduces(self):
-        prng = FastParityPrng(11)
-        first = [prng.randint(97) for _ in range(32)]
-        prng.reseed(11)
-        assert [prng.randint(97) for _ in range(32)] == first
-
-    def test_distinct_seeds_distinct_streams(self):
-        assert [FastParityPrng(1).next_bits(32) for _ in range(8)] != [
-            FastParityPrng(2).next_bits(32) for _ in range(8)
-        ]
-
-    def test_next_bits_range_and_validation(self):
-        prng = FastParityPrng(3)
-        for n in (1, 7, 32, 64):
-            value = prng.next_bits(n)
-            assert 0 <= value < (1 << n)
-        with pytest.raises(ValueError):
-            prng.next_bits(0)
-        with pytest.raises(ValueError):
-            prng.next_bits(65)
-
-    def test_randint_bounds(self):
-        prng = FastParityPrng(5)
-        assert all(0 <= prng.randint(6) < 6 for _ in range(200))
-
-    def test_randint_one_consumes_no_draw(self):
-        prng = FastParityPrng(9)
-        reference = FastParityPrng(9)
-        assert prng.randint(1) == 0
-        assert prng.next_bits(64) == reference.next_bits(64)
-
-    def test_randint_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            FastParityPrng(1).randint(0)
-
-    def test_random_unit_interval(self):
-        prng = FastParityPrng(13)
-        assert all(0.0 <= prng.random() < 1.0 for _ in range(200))
-
-    def test_fork_gives_independent_stream(self):
-        prng = FastParityPrng(21)
-        child = prng.fork()
-        assert isinstance(child, FastParityPrng)
-        assert [child.next_bit() for _ in range(64)] != [
-            prng.next_bit() for _ in range(64)
-        ]
-
-    def test_stream_differs_from_exact_mode(self):
-        fast = FastParityPrng(2017)
-        exact = CombinedLfsrPrng(2017)
-        assert [fast.next_bit() for _ in range(128)] != [
-            exact.next_bit() for _ in range(128)
-        ]
-
-    def test_health_battery_passes(self):
-        results = run_health_tests(FastParityPrng(0xDA7E), window_bits=20_000)
-        assert all(r.passed for r in results), [
-            (r.name, r.detail) for r in results if not r.passed
-        ]
-
-
-class TestFastParityDistribution:
+class TestLfsrDistribution:
     """Seeded, deterministic distribution gates (no flaky randomness:
     every draw below is a pure function of the literal seeds)."""
 
     def test_randint_chi_square_matches_uniform(self):
         # Chi-square over 8 buckets, df=7: the 0.999 quantile is 24.32.
-        # Run the same gate over both generators — the point is not
-        # just that fast-parity is uniform, but that it passes exactly
-        # the test the exact LFSR passes.
         n = 8000
-        for prng in (FastParityPrng(0x5EED), CombinedLfsrPrng(0x5EED)):
-            counts = [0] * 8
-            for _ in range(n):
-                counts[prng.randint(8)] += 1
-            expected = n / 8
-            chi2 = sum((c - expected) ** 2 / expected for c in counts)
-            assert chi2 < 24.32, (type(prng).__name__, chi2, counts)
+        prng = CombinedLfsrPrng(0x5EED)
+        counts = [0] * 8
+        for _ in range(n):
+            counts[prng.randint(8)] += 1
+        expected = n / 8
+        chi2 = sum((c - expected) ** 2 / expected for c in counts)
+        assert chi2 < 24.32, (chi2, counts)
 
     def test_random_ks_uniform(self):
         # One-sample KS against U(0,1); sqrt(n)*D < 1.95 is the
         # asymptotic 0.999 acceptance threshold.
         n = 4000
-        for prng in (FastParityPrng(0xABCD), CombinedLfsrPrng(0xABCD)):
-            values = sorted(prng.random() for _ in range(n))
-            d = max(
-                max((i + 1) / n - v, v - i / n)
-                for i, v in enumerate(values)
-            )
-            assert d * n**0.5 < 1.95, (type(prng).__name__, d)
+        prng = CombinedLfsrPrng(0xABCD)
+        values = sorted(prng.random() for _ in range(n))
+        d = max(max((i + 1) / n - v, v - i / n) for i, v in enumerate(values))
+        assert d * n**0.5 < 1.95, d
 
     def test_byte_draws_balance_every_bit(self):
         n = 4000
-        for prng in (FastParityPrng(0xBEEF), CombinedLfsrPrng(0xBEEF)):
-            ones = [0] * 8
-            for _ in range(n):
-                value = prng.next_bits(8)
-                for bit in range(8):
-                    ones[bit] += (value >> bit) & 1
-            for bit, count in enumerate(ones):
-                # 5-sigma window around n/2 for a fair coin.
-                assert abs(count - n / 2) < 5 * (n * 0.25) ** 0.5, (
-                    type(prng).__name__,
-                    bit,
-                    count,
-                )
+        prng = CombinedLfsrPrng(0xBEEF)
+        ones = [0] * 8
+        for _ in range(n):
+            value = prng.next_bits(8)
+            for bit in range(8):
+                ones[bit] += (value >> bit) & 1
+        for bit, count in enumerate(ones):
+            # 5-sigma window around n/2 for a fair coin.
+            assert abs(count - n / 2) < 5 * (n * 0.25) ** 0.5, (bit, count)
 
-
-# ----------------------------------------------------------------------
-# Vectorized lane generators (numpy required)
-# ----------------------------------------------------------------------
 
 vec = pytest.mark.skipif(
     not numpy_available(), reason="vectorized generators require numpy"
@@ -197,19 +67,18 @@ _OPS = st.lists(
         st.sampled_from(["bits", "randint"]),
         st.integers(min_value=1, max_value=32),
         st.integers(min_value=0, max_value=(1 << len(SEEDS)) - 1),
-        st.booleans(),  # masked (True) or indexed (False) call form
     ),
     min_size=1,
     max_size=40,
 )
 
 
-def _scalar_reference(make_scalar, ops):
-    """Drive one scalar generator per lane through its masked subset of
+def _scalar_reference(ops):
+    """Drive one scalar generator per lane through its subset of
     ``ops``; returns the per-op list of {lane: value} dicts."""
-    scalars = [make_scalar(seed) for seed in SEEDS]
+    scalars = [CombinedLfsrPrng(seed) for seed in SEEDS]
     out = []
-    for kind, param, lane_bits, _ in ops:
+    for kind, param, lane_bits in ops:
         drawn = {}
         for lane, prng in enumerate(scalars):
             if lane_bits & (1 << lane):
@@ -221,32 +90,23 @@ def _scalar_reference(make_scalar, ops):
     return out
 
 
-def _vector_run(make_vec, ops):
-    """Drive one vector generator through ``ops``, alternating between
-    the masked and indexed call forms; returns per-op {lane: value}."""
+def _vector_run(ops):
+    """Drive one vector generator through ``ops`` by lane index;
+    returns per-op {lane: value}."""
     import numpy as np
 
-    prng = make_vec(SEEDS)
+    from repro.platform.batch import _VecPrng
+
+    prng = _VecPrng(SEEDS)
     out = []
-    for kind, param, lane_bits, masked in ops:
+    for kind, param, lane_bits in ops:
         lanes = [i for i in range(len(SEEDS)) if lane_bits & (1 << i)]
-        if masked:
-            mask = np.zeros(len(SEEDS), dtype=bool)
-            mask[lanes] = True
-            if kind == "bits":
-                values = prng.next_bits(param, mask)
-            else:
-                values = prng.randint(param, mask)
-            out.append({lane: int(values[lane]) for lane in lanes})
+        idx = np.array(lanes, dtype=np.int64)
+        if kind == "bits":
+            values = prng.next_bits_idx(param, idx)
         else:
-            idx = np.array(lanes, dtype=np.int64)
-            if kind == "bits":
-                values = prng.next_bits_idx(param, idx)
-            else:
-                values = prng.randint_idx(param, idx)
-            out.append(
-                {lane: int(values[i]) for i, lane in enumerate(lanes)}
-            )
+            values = prng.randint_idx(param, idx)
+        out.append({lane: int(values[i]) for i, lane in enumerate(lanes)})
     return out
 
 
@@ -255,32 +115,7 @@ class TestVectorParity:
     @settings(max_examples=60, deadline=None)
     @given(ops=_OPS)
     def test_exact_lanes_replay_scalar_lfsr(self, ops):
-        from repro.platform.batch import _VecPrng
-
-        expected = _scalar_reference(CombinedLfsrPrng, ops)
-        actual = _vector_run(_VecPrng, ops)
-        assert actual == expected
-
-    @settings(max_examples=60, deadline=None)
-    @given(ops=_OPS)
-    def test_fast_parity_lanes_replay_scalar_counter(self, ops):
-        from repro.platform.batch import _VecFastPrng
-
-        expected = _scalar_reference(FastParityPrng, ops)
-        actual = _vector_run(_VecFastPrng, ops)
-        assert actual == expected
-
-    def test_factory_selects_lane_generator(self):
-        from repro.platform.batch import (
-            _make_vec_prng,
-            _VecFastPrng,
-            _VecPrng,
-        )
-
-        assert isinstance(_make_vec_prng("exact", SEEDS), _VecPrng)
-        assert isinstance(
-            _make_vec_prng("fast-parity", SEEDS), _VecFastPrng
-        )
+        assert _vector_run(ops) == _scalar_reference(ops)
 
     def test_exact_wide_draws_match_scalar(self):
         # 32-bit draws exercise the split hi/lo table composition.
@@ -289,36 +124,8 @@ class TestVectorParity:
         from repro.platform.batch import _VecPrng
 
         vec_prng = _VecPrng(SEEDS)
-        mask = np.ones(len(SEEDS), dtype=bool)
+        lanes = np.arange(len(SEEDS))
         scalars = [CombinedLfsrPrng(seed) for seed in SEEDS]
         for _ in range(50):
-            values = vec_prng.next_bits(32, mask)
-            assert [int(v) for v in values] == [
-                s.next_bits(32) for s in scalars
-            ]
-
-
-# ----------------------------------------------------------------------
-# Whole-platform fast-parity parity: scalar interpreter vs batch engine
-# ----------------------------------------------------------------------
-
-
-@vec
-class TestFastParityPlatform:
-    def test_scalar_and_batch_bit_identical(self):
-        from test_batch_backend import assert_runs_identical, build_trace
-
-        trace = build_trace(31, 2500)
-        assert_runs_identical(
-            lambda: leon3_rand(cache_kb=1, prng_mode="fast-parity"),
-            trace,
-            SEEDS,
-        )
-
-    def test_modes_diverge_on_rand_platform(self):
-        from test_batch_backend import build_trace
-
-        trace = build_trace(32, 2500)
-        exact = leon3_rand(cache_kb=1).run(trace, 123)
-        fast = leon3_rand(cache_kb=1, prng_mode="fast-parity").run(trace, 123)
-        assert exact != fast
+            values = vec_prng.next_bits_idx(32, lanes)
+            assert [int(v) for v in values] == [s.next_bits(32) for s in scalars]
