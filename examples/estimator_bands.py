@@ -19,29 +19,27 @@ Run:  python examples/estimator_bands.py [runs]
 
 import sys
 
-from repro.api import run_campaign
-from repro.core import AnalysisConfig, AnalysisPipeline
+from repro.api import AnalysisRequest, CampaignRequest, execute_request
+from repro.core import AnalysisPipeline
 
 
 def main() -> None:
     runs = int(sys.argv[1]) if len(sys.argv) > 1 else 600
-    result = run_campaign(
-        "synthetic-cache", "rand", runs=runs,
+    request = CampaignRequest(
+        workload="synthetic-cache",
+        platform="rand",
+        runs=runs,
         platform_kwargs={"num_cores": 1, "cache_kb": 4},
     )
+    result = execute_request(request).result
 
     cutoff = 1e-12
     print(f"campaign: {result.label}, n={result.num_runs}\n")
     for method in ("block-maxima-gumbel", "auto", "pot-gpd"):
-        analysis = AnalysisPipeline(
-            AnalysisConfig(
-                method=method,
-                min_path_samples=max(120, runs // 3),
-                check_convergence=False,
-                ci=0.95,
-                bootstrap=500,
-            )
-        ).run(result.samples)
+        config = AnalysisRequest(
+            method=method, ci=0.95, bootstrap=500
+        ).analysis_config(runs)
+        analysis = AnalysisPipeline(config).run(result.samples)
         point = analysis.quantile(cutoff)
         band = analysis.envelope.band(cutoff)
         line = f"{method:>20}: pWCET@{cutoff:g} = {point:.0f}"

@@ -1,25 +1,26 @@
 #!/usr/bin/env python
 """Quickstart: MBPTA on a synthetic execution-time campaign.
 
-The fastest way to see the pipeline end to end through the unified
-:mod:`repro.api` facade: run a campaign of the registered
+The fastest way to see the pipeline end to end: describe a campaign of
+the registered
 ``synthetic-cache`` workload (a known randomized-cache-like model — no
-platform simulation involved), then run the i.i.d. gate, fit the EVT
-tail and print the pWCET table.
+platform simulation involved) as a :class:`~repro.api.CampaignRequest`,
+execute it, then run the i.i.d. gate, fit the EVT tail and print the
+pWCET table.
 
 Run:  python examples/quickstart.py
 """
 
-from repro.api import run_campaign
-from repro.core import MBPTAAnalysis, MBPTAConfig, mbta_bound
+from repro.api import CampaignRequest, execute_request
+from repro.core import AnalysisPipeline, mbta_bound
 
 
 def main() -> None:
     # 2,000 runs of a program whose misses follow a randomized cache:
     # each of 200 lines misses independently with p=0.05 at 25 cycles.
-    result = run_campaign(
-        "synthetic-cache",
-        "rand",
+    request = CampaignRequest(
+        workload="synthetic-cache",
+        platform="rand",
         runs=2000,
         base_seed=42,
         shards=4,
@@ -29,10 +30,10 @@ def main() -> None:
         ),
         platform_kwargs=dict(num_cores=1),
     )
+    result = execute_request(request).result
     values = result.merged.values
 
-    analysis = MBPTAAnalysis(MBPTAConfig(check_convergence=True))
-    mbpta = analysis.analyse(result.samples, label="quickstart")
+    mbpta = AnalysisPipeline().run(result.samples, label="quickstart")
 
     print(mbpta.report())
 

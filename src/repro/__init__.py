@@ -25,11 +25,11 @@ Space Domain" (DATE 2017):
 
 Quickstart::
 
-    from repro.api import run_campaign
-    from repro.core import MBPTAAnalysis
+    from repro.api import CampaignRequest, execute_request
+    from repro.core import AnalysisPipeline
 
-    result = run_campaign("tvca", "rand", runs=300, shards=4)
-    analysis = MBPTAAnalysis().analyse(result.samples)
+    result = execute_request(CampaignRequest(runs=300, shards=4)).result
+    analysis = AnalysisPipeline().run(result.samples)
     print(analysis.report())
 """
 

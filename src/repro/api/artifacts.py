@@ -4,8 +4,8 @@ A :class:`CampaignArtifact` is the complete, self-describing record of
 one measurement campaign: per-path samples (full fidelity — saving no
 longer pools paths into one sample), every :class:`RunRecord` with its
 seeds, the campaign configuration, and a platform fingerprint.  It
-round-trips through JSON and feeds
-:meth:`repro.core.mbpta.MBPTAAnalysis.analyse` directly, so a saved
+round-trips through JSON, and its ``samples`` feed
+:meth:`repro.core.analysis.AnalysisPipeline.run` directly, so a saved
 campaign can be re-analysed later — with per-path grouping intact —
 without re-running a single simulation.
 
@@ -38,7 +38,6 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (api -> core)
     from ..core.analysis import AnalysisResult
-    from ..core.mbpta import MBPTAConfig
 
 from ..core.convergence import CampaignConvergenceSummary
 from ..harness.campaign import CampaignConfig, CampaignResult
@@ -254,15 +253,6 @@ class CampaignArtifact:
         )
 
     # -- analysis ------------------------------------------------------
-    def analyse(
-        self, analysis_config: Optional["MBPTAConfig"] = None
-    ) -> "AnalysisResult":
-        """Run the MBPTA pipeline on the stored per-path samples."""
-        from ..core.mbpta import MBPTAAnalysis, MBPTAConfig
-
-        analysis = MBPTAAnalysis(analysis_config or MBPTAConfig())
-        return analysis.analyse(self.samples, label=self.label)
-
     def attach_analysis(self, result: "AnalysisResult") -> None:
         """Record an analysis summary (estimator, bands, fit quality).
 

@@ -1,9 +1,8 @@
 """The unified request-object API surface.
 
-Every way of asking for a measurement campaign — the CLI, the
-:func:`repro.api.run_campaign` facade, the experiment drivers, and the
-campaign service's HTTP API — now speaks the same two frozen config
-objects:
+Every way of asking for a measurement campaign — the CLI, the library,
+the experiment drivers, and the campaign service's HTTP API — speaks
+the same two frozen config objects:
 
 * :class:`CampaignRequest` — *what to measure*: workload, platform,
   contention scenario (all registry names plus factory kwargs), run
@@ -32,9 +31,9 @@ persistent store keys its cross-process artifact cache on it.
 it resolves the request against the registries, runs the campaign via
 :class:`~repro.api.runner.CampaignRunner`, optionally attaches the
 requested analysis, and can package the whole thing as a
-:class:`~repro.api.artifacts.CampaignArtifact` — so the CLI, the
-library facade and the service produce byte-identical artifacts for
-the same request.
+:class:`~repro.api.artifacts.CampaignArtifact` — so the CLI, library
+callers and the service produce byte-identical artifacts for the same
+request.
 """
 
 from __future__ import annotations
@@ -436,7 +435,7 @@ def execute_request(
     request: CampaignRequest, progress: Optional[Progress] = None
 ) -> CampaignExecution:
     """Run ``request`` in-process — the single driver behind every
-    entry point (CLI, facade, experiment drivers, campaign service).
+    entry point (CLI, library, experiment drivers, campaign service).
 
     Resolves the registries, executes via
     :class:`~repro.api.runner.CampaignRunner` (honouring shards,

@@ -276,28 +276,6 @@ class CampaignRunner:
             backend=request.backend,
         )
 
-    @classmethod
-    def run_request(
-        cls,
-        request: "CampaignRequest",
-        progress: Optional[Progress] = None,
-    ) -> CampaignResult:
-        """Execute a :class:`~repro.api.requests.CampaignRequest`.
-
-        The request-object form of :meth:`run`: resolves the workload,
-        platform and scenario against the registries and honours the
-        request's shards, backend and convergence policy.  Every entry
-        point (CLI, facade, experiment drivers, campaign service)
-        funnels through this, so identical requests yield identical
-        campaigns everywhere.
-        """
-        return cls.from_request(request).run(
-            request.build_workload(),
-            request.build_platform(),
-            progress=progress,
-            convergence=request.convergence,
-        )
-
     # ------------------------------------------------------------------
     def run(
         self,

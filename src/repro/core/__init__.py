@@ -18,6 +18,7 @@ from .analysis import (
     estimator_names,
     register_estimator,
 )
+from .analysis.result import PathAnalysis
 from .convergence import (
     CampaignConvergence,
     CampaignConvergenceSummary,
@@ -26,7 +27,6 @@ from .convergence import (
     ConvergenceReport,
     assess_convergence,
 )
-from .mbpta import MBPTAAnalysis, MBPTAConfig, MBPTAResult, PathAnalysis
 from .mbta import MbtaEstimate, mbta_bound
 from .multipath import PWCETEnvelope, RarePathFloor
 from .pwcet import PWCETCurve, STANDARD_CUTOFFS
@@ -39,9 +39,6 @@ __all__ = [
     "ConfidenceBand",
     "ConvergenceMonitor",
     "ConvergenceReport",
-    "MBPTAAnalysis",
-    "MBPTAConfig",
-    "MBPTAResult",
     "MbtaEstimate",
     "PWCETCurve",
     "PWCETEnvelope",

@@ -6,9 +6,6 @@ i.i.d. gate → tail fit → diagnostics → bootstrap → envelope), tail
 estimators are string-keyed registry entries returning a common
 :class:`TailModel`, and pWCET uncertainty comes from numpy-batched
 bootstrap refits (:class:`ConfidenceBand`).
-
-The legacy :class:`repro.core.mbpta.MBPTAAnalysis` facade delegates
-here with bit-identical default-path output.
 """
 
 from .bootstrap import (

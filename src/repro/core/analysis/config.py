@@ -3,10 +3,9 @@
 One frozen dataclass carries every knob of the pipeline: which tail
 estimator to use (a registry key, see
 :mod:`repro.core.analysis.estimators`), the i.i.d. gate level, the
-rare-path policy, and the bootstrap-uncertainty settings.  The legacy
-:class:`repro.core.mbpta.MBPTAConfig` maps onto this via
-:meth:`~repro.core.mbpta.MBPTAConfig.to_analysis_config`, so the old
-facade and the new pipeline share one source of truth.
+rare-path policy, and the bootstrap-uncertainty settings.  Callers
+that pick only the caller-facing knobs (estimator, bands) build it via
+:meth:`repro.api.requests.AnalysisRequest.analysis_config`.
 """
 
 from __future__ import annotations

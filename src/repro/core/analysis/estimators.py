@@ -12,12 +12,12 @@ mirroring the platform/workload/scenario registries in
 Built-in estimators:
 
 * ``block-maxima-gumbel`` — the classical MBPTA tail (auto-sized block
-  maxima + Gumbel by PWM); bit-identical to the seed
-  ``MBPTAAnalysis`` default path,
+  maxima + Gumbel by PWM); bit-identical to the seed analysis's
+  default path,
 * ``gev`` — block maxima + full three-parameter GEV by L-moments (the
   moment-style fit the vectorized bootstrap can batch),
 * ``pot-gpd`` — peaks-over-threshold GPD, identical to the seed
-  ``tail_method="pot"`` route,
+  analysis's POT route,
 * ``auto`` — fits every candidate above and selects per path via the
   :func:`~repro.core.evt.diagnostics.fit_quality` diagnostics,
   recording the selection rationale.
@@ -189,7 +189,7 @@ def _gev_block_maxima(
 
 
 def _pot_gpd(values: Sequence[float], config: "AnalysisConfig") -> TailModel:
-    """The seed ``tail_method="pot"`` route, op for op."""
+    """The seed analysis's POT route, op for op."""
     pot = fit_pot(values, quantile=config.pot_quantile)
     excesses = [v - pot.threshold for v in values if v > pot.threshold]
     gof = 1.0

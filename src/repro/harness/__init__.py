@@ -1,13 +1,11 @@
 """Measurement harness: run protocol, sample containers, experiments."""
 
-from .campaign import CampaignConfig, CampaignResult, MeasurementCampaign
+from .campaign import CampaignConfig, CampaignResult
 from .experiment import (
     DetRandComparison,
     ScenarioComparison,
     band_relation,
-    compare_det_rand,
     compare_requests,
-    compare_scenarios,
     compare_scenarios_request,
 )
 from .measurements import ExecutionTimeSample, PathSamples
@@ -18,13 +16,10 @@ __all__ = [
     "CampaignResult",
     "DetRandComparison",
     "ExecutionTimeSample",
-    "MeasurementCampaign",
     "PathSamples",
     "RunRecord",
     "ScenarioComparison",
     "band_relation",
-    "compare_det_rand",
     "compare_requests",
-    "compare_scenarios",
     "compare_scenarios_request",
 ]

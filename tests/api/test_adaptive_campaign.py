@@ -22,7 +22,7 @@ from repro.api import (
     ConvergencePolicy,
     SyntheticWorkload,
     TvcaWorkload,
-    run_campaign,
+    create_platform,
 )
 from repro.core.evt import BlockMaximaTail, block_maxima, gumbel_fit_pwm
 from repro.platform.soc import leon3_rand
@@ -110,10 +110,9 @@ class TestAdaptiveSynthetic:
         assert restored.runs_used == serial.runs_used
 
     def test_run_campaign_facade(self):
-        result = run_campaign(
-            _synthetic(), "rand", runs=2000, base_seed=BASE_SEED,
-            until_converged=True,
-        )
+        result = CampaignRunner(
+            CampaignConfig(runs=2000, base_seed=BASE_SEED)
+        ).run(_synthetic(), create_platform("rand"), convergence=ConvergencePolicy())
         # Default policy (block 20, step 100) needs 400 runs to fit.
         assert result.runs_requested == 2000
         assert result.convergence is not None

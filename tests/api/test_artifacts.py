@@ -8,12 +8,14 @@ from repro.api import (
     ArtifactStore,
     CampaignArtifact,
     CampaignConfig,
+    CampaignRequest,
     CampaignRunner,
     SyntheticWorkload,
+    execute_request,
     load_measurements,
     platform_fingerprint,
 )
-from repro.core import MBPTAConfig
+from repro.core import AnalysisConfig, AnalysisPipeline
 from repro.harness.measurements import ExecutionTimeSample, PathSamples
 from repro.platform.soc import leon3_rand
 from repro.workloads.synthetic import cache_like_samples
@@ -60,9 +62,9 @@ class TestRoundTrip:
     def test_feeds_analysis_directly(self, campaign):
         _, artifact = campaign
         loaded = CampaignArtifact.from_json(artifact.to_json())
-        result = loaded.analyse(
-            MBPTAConfig(min_path_samples=120, check_convergence=False)
-        )
+        result = AnalysisPipeline(
+            AnalysisConfig(min_path_samples=120, check_convergence=False)
+        ).run(loaded.samples, label=loaded.label)
         assert result.quantile(1e-9) > 0
 
     def test_rejects_foreign_json(self):
@@ -133,13 +135,14 @@ class TestPathSamplesJson:
 
 class TestAnalysisSection:
     def _banded_artifact(self):
-        from repro.api import CampaignArtifact, run_campaign
-        from repro.core import AnalysisConfig, AnalysisPipeline
-
-        result = run_campaign(
-            "synthetic-cache", "rand", runs=200,
-            platform_kwargs={"num_cores": 1, "cache_kb": 4},
-        )
+        result = execute_request(
+            CampaignRequest(
+                workload="synthetic-cache",
+                platform="rand",
+                runs=200,
+                platform_kwargs={"num_cores": 1, "cache_kb": 4},
+            )
+        ).result
         artifact = CampaignArtifact.from_result(result)
         analysis = AnalysisPipeline(
             AnalysisConfig(
@@ -169,12 +172,14 @@ class TestAnalysisSection:
         assert loaded.samples.counts() == artifact.samples.counts()
 
     def test_artifact_without_analysis_loads(self, tmp_path):
-        from repro.api import CampaignArtifact, run_campaign
-
-        result = run_campaign(
-            "synthetic-cache", "rand", runs=30,
-            platform_kwargs={"num_cores": 1, "cache_kb": 4},
-        )
+        result = execute_request(
+            CampaignRequest(
+                workload="synthetic-cache",
+                platform="rand",
+                runs=30,
+                platform_kwargs={"num_cores": 1, "cache_kb": 4},
+            )
+        ).result
         artifact = CampaignArtifact.from_result(result)
         path = tmp_path / "plain.json"
         artifact.save(path)

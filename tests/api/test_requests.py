@@ -1,5 +1,5 @@
 """The unified request-object surface: validation, round-trips,
-digests, and the deprecated kwarg shims that now delegate to it."""
+digests, and execution through the one request driver."""
 
 import hashlib
 import json
@@ -11,17 +11,12 @@ from repro.api import (
     AnalysisRequest,
     CampaignRequest,
     CampaignRunner,
+    create_platform,
+    create_workload,
     execute_request,
-    run_campaign,
 )
 from repro.core import ConvergencePolicy
-from repro.harness import (
-    MeasurementCampaign,
-    compare_det_rand,
-    compare_requests,
-    compare_scenarios,
-    compare_scenarios_request,
-)
+from repro.harness import compare_requests
 from repro.platform.batch import numpy_available
 
 SMALL = dict(
@@ -199,7 +194,10 @@ class TestBytePins:
 class TestExecution:
     def test_execute_request_matches_runner(self):
         request = CampaignRequest(**SMALL)
-        direct = CampaignRunner.run_request(request)
+        direct = CampaignRunner(request.campaign_config()).run(
+            create_workload("matmul", dim=3),
+            create_platform("rand", num_cores=1, cache_kb=4),
+        )
         execution = execute_request(request)
         assert cycles(execution.result) == cycles(direct)
 
@@ -224,60 +222,6 @@ class TestExecution:
         swept = request.with_scenario("isolation")
         assert swept.scenario == "isolation"
         assert request.scenario is None
-
-
-class TestShimParity:
-    """The deprecated kwarg surfaces produce bit-identical campaigns."""
-
-    def test_run_campaign_matches_request(self):
-        legacy = run_campaign(
-            "matmul",
-            "rand",
-            runs=12,
-            base_seed=7,
-            workload_kwargs={"dim": 3},
-            platform_kwargs={"num_cores": 1, "cache_kb": 4},
-        )
-        request = CampaignRequest(**SMALL)
-        assert cycles(legacy) == cycles(CampaignRunner.run_request(request))
-
-    def test_measurement_campaign_run_request(self):
-        request = CampaignRequest(**SMALL)
-        assert cycles(MeasurementCampaign.run_request(request)) == cycles(
-            CampaignRunner.run_request(request)
-        )
-
-    def test_compare_det_rand_matches_requests(self):
-        legacy = compare_det_rand(runs=6, base_seed=11)
-        det = CampaignRequest(
-            workload="tvca", platform="det", runs=6, base_seed=11
-        )
-        request_form = compare_requests(det, replace(det, platform="rand"))
-        assert cycles(legacy.det) == cycles(request_form.det)
-        assert cycles(legacy.rand) == cycles(request_form.rand)
-
-    def test_compare_scenarios_matches_request(self):
-        scenarios = ("isolation", "opponent-cpu")
-        legacy = compare_scenarios(
-            "matmul",
-            scenarios=scenarios,
-            runs=5,
-            base_seed=3,
-            workload_kwargs={"dim": 3},
-        )
-        base = CampaignRequest(
-            workload="matmul",
-            platform="rand",
-            runs=5,
-            base_seed=3,
-            workload_kwargs={"dim": 3},
-            platform_kwargs={"num_cores": 4},
-        )
-        request_form = compare_scenarios_request(base, scenarios=scenarios)
-        for name in scenarios:
-            assert cycles(legacy.by_scenario[name]) == cycles(
-                request_form.by_scenario[name]
-            )
 
     def test_progress_labels(self):
         seen = []

@@ -1,9 +1,8 @@
 """Workload adapters: the protocol every measurable thing implements."""
 
-import pytest
-
 from repro.api import (
     CampaignConfig,
+    CampaignRequest,
     CampaignRunner,
     ProgramWorkload,
     RunObservation,
@@ -11,7 +10,7 @@ from repro.api import (
     TvcaWorkload,
     Workload,
     create_workload,
-    run_campaign,
+    execute_request,
     seeded_env_fn,
 )
 from repro.platform.soc import leon3_det, leon3_rand
@@ -132,38 +131,6 @@ class TestTraceMemoization:
         assert other.trace is not first.trace
         assert first.metadata["jobs"] > 0
 
-    def test_indexed_envs_not_poisoned_by_constant_input_seed(self):
-        """vary_inputs=False keeps one input seed for every run; the
-        legacy index-keyed env adapter must still get per-index traces
-        (regression test for the trace-cache key)."""
-        from repro.harness import CampaignConfig as HarnessConfig
-        from repro.harness import MeasurementCampaign
-        from repro.programs.dsl import Block, Loop, Program, alu
-        from repro.programs.layout import link
-
-        program = Program(
-            name="varying",
-            body=[
-                Loop(
-                    name="n",
-                    count=lambda env: env["n"],
-                    body=[Block([alu(4)])],
-                )
-            ],
-        )
-        campaign = MeasurementCampaign(
-            HarnessConfig(runs=4, base_seed=3, vary_inputs=False)
-        )
-        result = campaign.run_program(
-            leon3_det(num_cores=1),
-            program,
-            link(program),
-            env_fn=lambda index: {"n": 4 + 4 * index},
-        )
-        cycles = [record.cycles for record in result.run_details]
-        assert len(set(cycles)) == 4  # strictly growing work per index
-        assert cycles == sorted(cycles)
-
 
 class TestSyntheticWorkload:
     def test_draws_one_value_per_run(self):
@@ -186,36 +153,31 @@ class TestSyntheticWorkload:
 
 
 class TestRunCampaignFacade:
+    """Registry-named campaigns through the one request driver."""
+
     def test_accepts_registry_names(self):
-        result = run_campaign(
-            "matmul", "det", runs=4, base_seed=1,
-            workload_kwargs={"dim": 3},
-            platform_kwargs={"num_cores": 1},
-        )
+        result = execute_request(
+            CampaignRequest(
+                workload="matmul",
+                platform="det",
+                runs=4,
+                base_seed=1,
+                workload_kwargs={"dim": 3},
+                platform_kwargs={"num_cores": 1},
+            )
+        ).result
         assert result.num_runs == 4
         assert result.label == "matmul_3@DET"
 
-    def test_accepts_objects(self):
-        result = run_campaign(
-            ProgramWorkload(matmul_kernel(dim=3)),
-            leon3_det(num_cores=1),
-            runs=3,
-        )
-        assert result.num_runs == 3
-
-    def test_rejects_kwargs_with_objects(self):
-        with pytest.raises(ValueError):
-            run_campaign(
-                ProgramWorkload(matmul_kernel(dim=3)),
-                leon3_det(num_cores=1),
-                runs=2,
-                workload_kwargs={"dim": 4},
-            )
-
     def test_registry_workload_with_random_env(self):
-        result = run_campaign(
-            "table-walk", "rand", runs=5, base_seed=9,
-            workload_kwargs={"entries": 64, "lookups": 16},
-            platform_kwargs={"num_cores": 1, "cache_kb": 4},
-        )
+        result = execute_request(
+            CampaignRequest(
+                workload="table-walk",
+                platform="rand",
+                runs=5,
+                base_seed=9,
+                workload_kwargs={"entries": 64, "lookups": 16},
+                platform_kwargs={"num_cores": 1, "cache_kb": 4},
+            )
+        ).result
         assert result.num_runs == 5

@@ -1,17 +1,54 @@
 """Tests for measurement campaigns and the DET/RAND experiment driver."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.harness.campaign import CampaignConfig, MeasurementCampaign
-from repro.harness.experiment import compare_det_rand
-from repro.platform.soc import leon3_det, leon3_rand
+from repro.api import (
+    AnalysisRequest,
+    CampaignRequest,
+    CampaignRunner,
+    ProgramWorkload,
+    TvcaWorkload,
+)
+from repro.harness.campaign import CampaignConfig
+from repro.harness.experiment import compare_requests, compare_scenarios_request
+from repro.platform.soc import leon3_rand
 from repro.programs.layout import link
 from repro.workloads.kernels import matmul_kernel
 from repro.workloads.tvca.app import TvcaApplication, TvcaConfig
 
-SMALL_TVCA = TvcaConfig(
-    estimator_dim=8, aero_elements=64, aero_window=8, hyperperiods=1
-)
+SMALL_TVCA_KWARGS = {
+    "estimator_dim": 8,
+    "aero_elements": 64,
+    "aero_window": 8,
+    "hyperperiods": 1,
+}
+SMALL_TVCA = TvcaConfig(**SMALL_TVCA_KWARGS)
+
+
+def _compare_det_rand(runs, base_seed=2017):
+    """The DET/RAND comparison of the small TVCA, as two requests."""
+    det = CampaignRequest(
+        workload="tvca",
+        platform="det",
+        runs=runs,
+        base_seed=base_seed,
+        workload_kwargs=SMALL_TVCA_KWARGS,
+    )
+    return compare_requests(det, replace(det, platform="rand"))
+
+
+def _compare_scenarios(workload, scenarios, runs, num_cores, base_seed=2017):
+    """A contention sweep of ``workload`` on a 4 KB-cache RAND SoC."""
+    base = CampaignRequest(
+        workload=workload,
+        platform="rand",
+        runs=runs,
+        base_seed=base_seed,
+        platform_kwargs={"num_cores": num_cores, "cache_kb": 4},
+    )
+    return compare_scenarios_request(base, scenarios=scenarios)
 
 
 class TestCampaignConfig:
@@ -32,54 +69,57 @@ class TestCampaignConfig:
             CampaignConfig(runs=0)
 
 
+def _run_tvca(config, app=None, progress=None):
+    workload = TvcaWorkload(app=app or TvcaApplication(SMALL_TVCA))
+    return CampaignRunner(config).run(
+        workload, leon3_rand(num_cores=1), progress=progress
+    )
+
+
+def _run_program(config, prog, progress=None):
+    workload = ProgramWorkload(prog, image=link(prog))
+    return CampaignRunner(config).run(
+        workload, leon3_rand(num_cores=1), progress=progress
+    )
+
+
 class TestTvcaCampaign:
     def test_collects_requested_runs(self):
-        campaign = MeasurementCampaign(CampaignConfig(runs=12, base_seed=3))
-        result = campaign.run_tvca(leon3_rand(num_cores=1), TvcaApplication(SMALL_TVCA))
+        result = _run_tvca(CampaignConfig(runs=12, base_seed=3))
         assert result.num_runs == 12
         assert len(result.merged) == 12
 
     def test_reproducible_with_same_base_seed(self):
         app = TvcaApplication(SMALL_TVCA)
-        c1 = MeasurementCampaign(CampaignConfig(runs=6, base_seed=9))
-        c2 = MeasurementCampaign(CampaignConfig(runs=6, base_seed=9))
-        r1 = c1.run_tvca(leon3_rand(num_cores=1), app)
-        r2 = c2.run_tvca(leon3_rand(num_cores=1), app)
+        r1 = _run_tvca(CampaignConfig(runs=6, base_seed=9), app)
+        r2 = _run_tvca(CampaignConfig(runs=6, base_seed=9), app)
         assert r1.merged.values == r2.merged.values
 
     def test_progress_callback(self):
         seen = []
-        campaign = MeasurementCampaign(CampaignConfig(runs=4))
-        campaign.run_tvca(
-            leon3_rand(num_cores=1),
-            TvcaApplication(SMALL_TVCA),
+        _run_tvca(
+            CampaignConfig(runs=4),
             progress=lambda done, total: seen.append((done, total)),
         )
         assert seen == [(1, 4), (2, 4), (3, 4), (4, 4)]
 
     def test_paths_recorded(self):
-        campaign = MeasurementCampaign(CampaignConfig(runs=15, base_seed=5))
-        result = campaign.run_tvca(leon3_rand(num_cores=1), TvcaApplication(SMALL_TVCA))
+        result = _run_tvca(CampaignConfig(runs=15, base_seed=5))
         assert result.samples.num_paths >= 1
         assert sum(result.samples.counts().values()) == 15
 
 
 class TestProgramCampaign:
     def test_kernel_campaign(self):
-        prog = matmul_kernel(dim=4)
-        image = link(prog)
-        campaign = MeasurementCampaign(CampaignConfig(runs=8))
-        result = campaign.run_program(leon3_rand(num_cores=1), prog, image)
+        result = _run_program(CampaignConfig(runs=8), matmul_kernel(dim=4))
         assert result.num_runs == 8
         assert result.samples.num_paths == 1  # matmul has a single path
 
     def test_progress_callback(self):
         seen = []
-        prog = matmul_kernel(dim=4)
-        image = link(prog)
-        campaign = MeasurementCampaign(CampaignConfig(runs=5))
-        campaign.run_program(
-            leon3_rand(num_cores=1), prog, image,
+        _run_program(
+            CampaignConfig(runs=5),
+            matmul_kernel(dim=4),
             progress=lambda done, total: seen.append((done, total)),
         )
         assert seen == [(1, 5), (2, 5), (3, 5), (4, 5), (5, 5)]
@@ -87,53 +127,33 @@ class TestProgramCampaign:
     def test_run_details_typed(self):
         from repro.harness import RunRecord
 
-        prog = matmul_kernel(dim=4)
-        image = link(prog)
-        campaign = MeasurementCampaign(CampaignConfig(runs=3))
-        result = campaign.run_program(leon3_rand(num_cores=1), prog, image)
+        result = _run_program(CampaignConfig(runs=3), matmul_kernel(dim=4))
         assert all(isinstance(r, RunRecord) for r in result.run_details)
         assert [r.index for r in result.run_details] == [0, 1, 2]
-
-    def test_env_fn_drives_paths(self):
-        from repro.programs.dsl import Block, If, Program, alu
-
-        prog = Program(
-            name="p",
-            body=[If("c", lambda env: env["f"], [Block([alu(5)])], [Block([alu(1)])])],
-        )
-        image = link(prog)
-        campaign = MeasurementCampaign(CampaignConfig(runs=10))
-        result = campaign.run_program(
-            leon3_det(num_cores=1), prog, image,
-            env_fn=lambda i: {"f": i % 2 == 0},
-        )
-        assert result.samples.num_paths == 2
 
 
 class TestCompareDetRand:
     def test_comparison_runs(self):
-        comparison = compare_det_rand(runs=10, app_config=SMALL_TVCA)
+        comparison = _compare_det_rand(runs=10)
         summary = comparison.summary()
         assert summary["det_mean"] > 0
         assert summary["rand_mean"] > 0
         assert 0.8 < summary["average_ratio"] < 1.2
 
     def test_identical_inputs_across_platforms(self):
-        comparison = compare_det_rand(runs=6, base_seed=11, app_config=SMALL_TVCA)
+        comparison = _compare_det_rand(runs=6, base_seed=11)
         # Same number of observations on both platforms.
         assert len(comparison.det_sample) == len(comparison.rand_sample) == 6
 
 
 class TestCompareScenarios:
     def test_isolation_vs_hammer_sweep(self):
-        from repro.harness import compare_scenarios
-
-        comparison = compare_scenarios(
+        comparison = _compare_scenarios(
             "table-walk",
-            scenarios=("isolation", "opponent-memory-hammer"),
+            ("isolation", "opponent-memory-hammer"),
             runs=8,
+            num_cores=4,
             base_seed=55,
-            platform_kwargs={"num_cores": 4, "cache_kb": 4},
         )
         summary = comparison.summary()
         assert set(summary) == {"isolation", "opponent-memory-hammer"}
@@ -145,13 +165,8 @@ class TestCompareScenarios:
         assert [r.platform_seed for r in iso] == [r.platform_seed for r in ham]
 
     def test_slowdown_requires_baseline(self):
-        from repro.harness import compare_scenarios
-
-        comparison = compare_scenarios(
-            "matmul",
-            scenarios=("opponent-cpu",),
-            runs=2,
-            platform_kwargs={"num_cores": 2, "cache_kb": 4},
+        comparison = _compare_scenarios(
+            "matmul", ("opponent-cpu",), runs=2, num_cores=2
         )
         with pytest.raises(ValueError):
             comparison.slowdown("opponent-cpu")
@@ -175,17 +190,17 @@ class TestBandRelation:
 
 class TestScenarioBandSummary:
     def test_summary_carries_bands_and_overlap_is_decidable(self):
-        from repro.harness import band_relation, compare_scenarios
+        from repro.harness import band_relation
 
-        comparison = compare_scenarios(
+        comparison = _compare_scenarios(
             "table-walk",
-            scenarios=("isolation", "opponent-memory-hammer"),
+            ("isolation", "opponent-memory-hammer"),
             runs=400,
+            num_cores=4,
             base_seed=55,
-            platform_kwargs={"num_cores": 4, "cache_kb": 4},
         )
         summary = comparison.summary(
-            cutoff=1e-9, ci=0.9, bootstrap=100
+            cutoff=1e-9, analysis=AnalysisRequest(ci=0.9, bootstrap=100)
         )
         for name in ("isolation", "opponent-memory-hammer"):
             row = summary[name]
@@ -200,13 +215,8 @@ class TestScenarioBandSummary:
         ) == "above"
 
     def test_summary_without_ci_has_no_band_columns(self):
-        from repro.harness import compare_scenarios
-
-        comparison = compare_scenarios(
-            "table-walk",
-            scenarios=("isolation",),
-            runs=8,
-            platform_kwargs={"num_cores": 4, "cache_kb": 4},
+        comparison = _compare_scenarios(
+            "table-walk", ("isolation",), runs=8, num_cores=4
         )
         summary = comparison.summary(cutoff=None)
         assert "pwcet_lo" not in summary["isolation"]
@@ -215,9 +225,8 @@ class TestScenarioBandSummary:
 class TestDetRandBands:
     def test_analyse_rand_and_mbta_verdict(self):
         from repro.core import AnalysisConfig, mbta_bound
-        from repro.harness import compare_det_rand
 
-        comparison = compare_det_rand(runs=250, base_seed=7, app_config=SMALL_TVCA)
+        comparison = _compare_det_rand(runs=250, base_seed=7)
         analysis = comparison.analyse_rand(
             AnalysisConfig(
                 min_path_samples=120, check_convergence=False, ci=0.9,
@@ -231,8 +240,6 @@ class TestDetRandBands:
         assert verdict["lower"] <= verdict["upper"]
 
     def test_no_band_returns_none(self):
-        from repro.harness import compare_det_rand
-
-        comparison = compare_det_rand(runs=250, base_seed=7, app_config=SMALL_TVCA)
+        comparison = _compare_det_rand(runs=250, base_seed=7)
         analysis = comparison.analyse_rand()
         assert comparison.mbta_vs_band(analysis, 1e-12, 1000.0) is None

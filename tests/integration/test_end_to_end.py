@@ -5,10 +5,13 @@ i.i.d. on the randomized platform, a pWCET curve that upper-bounds the
 observations, the MBTA comparison and the DET/RAND average parity.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro.core import MBPTAAnalysis, MBPTAConfig
-from repro.harness import CampaignConfig, MeasurementCampaign, compare_det_rand
+from repro.api import CampaignRequest, CampaignRunner, TvcaWorkload
+from repro.core import AnalysisConfig, AnalysisPipeline
+from repro.harness import CampaignConfig, compare_requests
 from repro.platform import leon3_det, leon3_rand
 from repro.workloads.tvca import TvcaApplication, TvcaConfig
 
@@ -22,15 +25,17 @@ RUNS = 150
 
 @pytest.fixture(scope="module")
 def rand_campaign():
-    app = TvcaApplication(APP_CONFIG)
-    campaign = MeasurementCampaign(CampaignConfig(runs=RUNS, base_seed=20170327))
-    return campaign.run_tvca(leon3_rand(num_cores=1, cache_kb=CACHE_KB), app)
+    runner = CampaignRunner(CampaignConfig(runs=RUNS, base_seed=20170327))
+    return runner.run(
+        TvcaWorkload(app=TvcaApplication(APP_CONFIG)),
+        leon3_rand(num_cores=1, cache_kb=CACHE_KB),
+    )
 
 
 @pytest.fixture(scope="module")
 def analysis(rand_campaign):
-    config = MBPTAConfig(min_path_samples=80, check_convergence=False)
-    return MBPTAAnalysis(config).analyse(rand_campaign.samples)
+    config = AnalysisConfig(min_path_samples=80, check_convergence=False)
+    return AnalysisPipeline(config).run(rand_campaign.samples)
 
 
 class TestPaperPipeline:
@@ -69,13 +74,15 @@ class TestPaperPipeline:
 
     def test_det_rand_average_parity(self):
         """Figure 3 first two bars: no noticeable average difference."""
-        comparison = compare_det_rand(
+        det = CampaignRequest(
+            workload="tvca",
+            platform="det",
             runs=40,
             base_seed=7,
-            app_config=APP_CONFIG,
-            det_platform=leon3_det(num_cores=1, cache_kb=CACHE_KB),
-            rand_platform=leon3_rand(num_cores=1, cache_kb=CACHE_KB),
+            workload_kwargs={"estimator_dim": 12, "aero_window": 16},
+            platform_kwargs={"num_cores": 1, "cache_kb": CACHE_KB},
         )
+        comparison = compare_requests(det, replace(det, platform="rand"))
         assert comparison.average_ratio() == pytest.approx(1.0, abs=0.08)
 
     def test_det_platform_fails_randomization_premise(self):
