@@ -5,14 +5,15 @@ A campaign's inner loop can run two ways:
 * ``"scalar"`` — the historical path: every run interprets its trace
   through :class:`~repro.platform.core.CoreStepper`, one instruction
   at a time.
-* ``"batch"`` — runs that share an identical instruction trace are
-  grouped and executed together by the vectorized engine
-  (:mod:`repro.platform.batch`), which advances all replications of
-  one trace simultaneously with numpy array state.  Bit-identical to
-  the scalar path (same seeds, same PRNG draw sequences, same cycle
-  counts), typically an order of magnitude faster when groups are
-  large.
-* ``"auto"`` (the default) — batch where it pays: groups smaller than
+* ``"batch"`` — the runs of an index block execute together on the
+  vectorized engine (:mod:`repro.platform.batch`), which advances all
+  replications with numpy array state, one segment position at a
+  time: segments every run shares advance on scalar addresses, and
+  varied-input segments are packed by event skeleton with per-run
+  addresses.  Bit-identical to the scalar path (same seeds, same PRNG
+  draw sequences, same cycle counts), typically an order of magnitude
+  faster when blocks are large.
+* ``"auto"`` (the default) — batch where it pays: blocks smaller than
   :data:`AUTO_MIN_GROUP` runs, workloads without a batch description
   and platforms the engine does not vectorize all fall back to the
   scalar loop.  Because both paths are bit-identical, auto-selection
@@ -28,17 +29,18 @@ Optional[BatchPlan]``: it describes the run as a tuple of trace
 segments plus a ``finalize`` callback that converts the measured
 per-segment cycles back into the exact
 :class:`~repro.api.workload.RunObservation` its ``execute`` would have
-produced.  Runs whose plans share ``group_key`` are guaranteed by the
-workload to carry identical segment traces — that is what makes them
-batchable.
+produced.  Single-core plans batch whatever their traces: the engine
+takes one segment list per run.  ``group_key`` matters only for
+co-scheduled plans (below).
 
 Co-scheduled (multicore contention) runs batch too: a plan whose
 ``finalize_concurrent`` is set describes one analysis trace plus
-``co_runners`` on the other cores; such groups execute on the
-co-scheduled vector engine (:mod:`repro.platform.batch_concurrent`),
-which advances every replication's whole core set in lockstep and
-returns per-run :class:`~repro.platform.soc.ConcurrentRunResult`\\ s —
-again bit-identical to the scalar interleave.
+``co_runners`` on the other cores; runs whose plans share ``group_key``
+execute as one group on the co-scheduled vector engine
+(:mod:`repro.platform.batch_concurrent`), which advances every
+replication's whole core set in lockstep and returns per-run
+:class:`~repro.platform.soc.ConcurrentRunResult`\\ s — again
+bit-identical to the scalar interleave.
 """
 
 from __future__ import annotations
@@ -81,9 +83,10 @@ __all__ = [
 #: Accepted ``backend=`` spellings.
 BACKENDS = ("scalar", "batch", "auto")
 
-#: Under ``backend="auto"``, trace groups smaller than this run scalar:
-#: the numpy dispatch overhead of the vector engine only amortizes once
-#: several replications advance per event.
+#: Under ``backend="auto"``, index blocks (and co-scheduled groups)
+#: smaller than this run scalar: the numpy dispatch overhead of the
+#: vector engine only amortizes once several replications advance per
+#: event.
 AUTO_MIN_GROUP = 8
 
 
@@ -171,12 +174,16 @@ class BatchMeasurement:
 class BatchPlan:
     """One run reduced to batchable trace segments.
 
-    Two plans with equal ``group_key`` MUST carry identical segment
-    traces — and identical ``co_runners`` — (the workload's contract):
-    the runner batches such runs into one vectorized pass.
-    ``finalize`` converts the measurement back into exactly the
-    :class:`RunObservation` the workload's ``execute`` would have
-    returned for the same seeds.
+    Single-core plans (``finalize`` set) batch with every other
+    single-core plan of their index block on the same ``core_id``,
+    whatever their segments; equal segments are best passed as the same
+    trace objects, which the engine advances together.  ``group_key``
+    matters only for co-scheduled plans: two such plans with equal
+    ``group_key`` MUST carry identical traces and ``co_runners`` (the
+    workload's contract), and the runner batches them into one
+    vectorized pass.  ``finalize`` converts the measurement back into
+    exactly the :class:`RunObservation` the workload's ``execute``
+    would have returned for the same seeds.
 
     **Co-scheduled plans** set ``finalize_concurrent`` instead: the run
     is then one analysis trace (``segments[0]`` on ``core_id``) plus
@@ -290,23 +297,25 @@ def execute_batch_indices(
     on_record: Optional[Callable[[RunRecord], None]] = None,
     strict: bool = False,
 ) -> List[RunRecord]:
-    """Execute ``indices`` batching runs that share a trace group.
+    """Execute ``indices`` on the vector engines.
 
-    Runs are grouped by their plan's ``group_key``; each group executes
-    as one vectorized pass — on the segment engine
-    (:func:`~repro.platform.batch.run_batch_segments`) for plain plans,
-    on the co-scheduled engine
-    (:func:`~repro.platform.batch_concurrent.run_concurrent_batch`) for
-    concurrent ones.  Groups below ``min_group`` and groups the engine
-    rejects execute their (already-built) plans through the scalar
+    Single-core plans are packed per core into one call of the segment
+    engine (:func:`~repro.platform.batch.run_batch_segments`) with one
+    segment list per run: the engine shares every segment position the
+    runs have in common and packs the rest by event skeleton, so runs
+    with varied inputs batch too.  Co-scheduled plans are grouped by
+    ``group_key`` and each group runs on the co-scheduled engine
+    (:func:`~repro.platform.batch_concurrent.run_concurrent_batch`).  A
+    block or group below ``min_group`` runs, and one the engine
+    rejects, executes its (already-built) plans through the scalar
     interpreter instead; runs without a plan fall back to the
     workload's own ``execute``.  With ``strict=True`` (the explicit
     ``backend="batch"`` contract) an engine rejection raises instead of
     silently degrading.  The produced record *set* is bit-identical to
     the scalar path in every case; only the emission order differs
-    (grouped, then plan-less residue by index) — callers that need
-    index order sort afterwards, exactly as the sharded merge already
-    does.
+    (co-scheduled groups, single-core blocks, then plan-less residue by
+    index) — callers that need index order sort afterwards, exactly as
+    the sharded merge already does.
     """
     from ..platform import batch as batch_engine
     from ..platform import batch_concurrent as concurrent_engine
@@ -314,6 +323,7 @@ def execute_batch_indices(
     groups: "OrderedDict[Hashable, List[Tuple[int, int, BatchPlan]]]" = (
         OrderedDict()
     )
+    blocks: Dict[int, List[Tuple[int, int, BatchPlan]]] = {}
     planless_indices: List[int] = []
     records: List[RunRecord] = []
     for run_index in indices:
@@ -322,8 +332,12 @@ def execute_batch_indices(
         plan = workload.plan_batch(platform, run_index, run_seed, input_seed)
         if plan is None:
             planless_indices.append(run_index)
-        else:
+        elif plan.concurrent:
             groups.setdefault(plan.group_key, []).append(
+                (run_index, run_seed, plan)
+            )
+        else:
+            blocks.setdefault(plan.core_id, []).append(
                 (run_index, run_seed, plan)
             )
 
@@ -372,57 +386,53 @@ def execute_batch_indices(
     for members in groups.values():
         lead_plan = members[0][2]
         seeds = [member[1] for member in members]
-        if lead_plan.concurrent:
-            results: Optional[List[ConcurrentRunResult]] = None
-            if len(members) >= min_group:
-                try:
-                    results = concurrent_engine.run_concurrent_batch(
-                        platform,
-                        lead_plan.traces_by_core(),
-                        seeds,
-                        analysis_core=lead_plan.core_id,
-                        loop_co_runners=lead_plan.loop_co_runners,
-                    )
-                except batch_engine.BatchUnsupported as exc:
-                    reject(exc)
-            if results is not None:
-                for (run_index, run_seed, plan), result in zip(
-                    members, results
-                ):
-                    emit_concurrent(run_index, run_seed, plan, result)
-            else:
-                for run_index, run_seed, plan in members:
-                    emit_concurrent(
-                        run_index, run_seed, plan,
-                        _measure_plan_concurrent_scalar(
-                            platform, plan, run_seed
-                        ),
-                    )
-            continue
+        results: Optional[List[ConcurrentRunResult]] = None
+        if len(members) >= min_group:
+            try:
+                results = concurrent_engine.run_concurrent_batch(
+                    platform,
+                    lead_plan.traces_by_core(),
+                    seeds,
+                    analysis_core=lead_plan.core_id,
+                    loop_co_runners=lead_plan.loop_co_runners,
+                )
+            except batch_engine.BatchUnsupported as exc:
+                reject(exc)
+        if results is not None:
+            for (run_index, run_seed, plan), result in zip(members, results):
+                emit_concurrent(run_index, run_seed, plan, result)
+        else:
+            for run_index, run_seed, plan in members:
+                emit_concurrent(
+                    run_index, run_seed, plan,
+                    _measure_plan_concurrent_scalar(platform, plan, run_seed),
+                )
+
+    for core_id, members in sorted(blocks.items()):
         outcome = None
         if len(members) >= min_group:
-            reason = batch_engine.batch_unsupported_reason(
-                platform, lead_plan.core_id
-            )
+            reason = batch_engine.batch_unsupported_reason(platform, core_id)
             if reason is not None:
                 reject(batch_engine.BatchUnsupported(reason))
             else:
                 try:
                     outcome = batch_engine.run_batch_segments(
-                        platform, lead_plan.segments, seeds,
-                        lead_plan.core_id,
+                        platform,
+                        [plan.segments for _, _, plan in members],
+                        [run_seed for _, run_seed, _ in members],
+                        core_id,
                     )
                 except batch_engine.BatchUnsupported as exc:
                     reject(exc)
         if outcome is not None:
-            for (run_index, run_seed, plan), segment_cycles in zip(
-                members, outcome.segment_cycles
+            for (run_index, run_seed, plan), segment_cycles, result in zip(
+                members, outcome.segment_cycles, outcome.results
             ):
                 emit_measured(
                     run_index, run_seed, plan,
                     BatchMeasurement(
-                        segment_cycles=tuple(segment_cycles),
-                        instructions=outcome.instructions,
+                        segment_cycles=segment_cycles,
+                        instructions=result.instructions,
                     ),
                 )
         else:

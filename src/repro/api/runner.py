@@ -45,8 +45,10 @@ bit-identical to the scalar interpreter and composes with fork-sharding
 — each shard batches its own index stride — and with adaptive
 campaigns, which batch in blocks and discard overshoot beyond the
 convergence point exactly as the sharded scalar path already does.
-``"auto"`` (the default) batches only groups large enough to amortize
-the vector dispatch overhead and falls back to scalar everywhere else
+``"auto"`` (the default) batches only index blocks (and co-scheduled
+groups) large enough to amortize the vector dispatch overhead —
+varied-input blocks included, packed per segment position — and falls
+back to scalar everywhere else
 (deterministic-unsupported configurations, missing numpy); since both
 paths agree bit for bit, backend selection never changes an
 observation.  ``backend="batch"`` is strict: a campaign or run group

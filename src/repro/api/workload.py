@@ -151,10 +151,10 @@ class Workload(Protocol):
     Optional hook: ``plan_batch(platform, run_index, run_seed,
     input_seed) -> Optional[BatchPlan]``.  Workloads whose run reduces
     to a sequence of trace segments expose it so the runner can execute
-    trace-sharing runs together on the vectorized batch backend; the
-    plan's ``finalize`` must reproduce exactly the observation
-    ``execute`` would return, and plans sharing a ``group_key`` must
-    carry identical segments.
+    them together on the vectorized batch backend; the plan's
+    ``finalize`` must reproduce exactly the observation ``execute``
+    would return, and co-scheduled plans sharing a ``group_key`` must
+    carry identical traces.
     """
 
     name: str
@@ -257,8 +257,10 @@ class TvcaWorkload:
         for bit: each job's cycle clock restarts while cache/bus/store-
         buffer state carries over, and the schedule outcome (response
         times, deadlines) is recomputed from the measured per-job
-        cycles.  Plans are keyed by the input seed, so all runs of a
-        fixed-input campaign share one trace group.
+        cycles.  Plans are memoized by input seed, and the application
+        shares equal job traces across seeds, so every run's sensor
+        jobs (and a fixed-input campaign's whole plan) are the same
+        trace objects the engine advances together.
         """
         if self._app is None:
             self.prepare(platform)
@@ -357,9 +359,9 @@ class ProgramWorkload:
         """The run as one batchable trace segment.
 
         Programs without an ``env_fn`` have a seed-independent trace, so
-        every run of the campaign lands in one batch group; seed-keyed
-        environments group by input seed (``vary_inputs=False`` then
-        still yields a single group).  ``finalize`` reproduces
+        every run of the campaign shares one trace object; seed-keyed
+        environments share it per input seed (``vary_inputs=False`` then
+        still yields a single trace).  ``finalize`` reproduces
         :meth:`execute` exactly — cycles are the run's end-to-end count,
         metadata carries the instruction count — so the batch and scalar
         paths emit equal records.

@@ -26,14 +26,19 @@ each component acts on lane index arrays:
   for deterministic platforms.
 
 Two loops drive it.  The **segment loop** here
-(:meth:`_BatchEngine.run_segments`, single-core campaigns) keeps every
-lane at the same trace position, so it folds the compile pass into an
-event list with static-cost gaps and calls the components' *broadcast*
-methods: one scalar address for all lanes, set indices memoized per
-line.  Only fetch probes on new lines, loads and stores cost vector
-work.  The **step loop** in :mod:`repro.platform.batch_concurrent`
-(co-scheduled campaigns) lets lanes diverge and calls the *index*
-methods with per-lane addresses.
+(:meth:`_BatchEngine.run_segments`, single-core campaigns) takes one
+segment list per lane and advances every lane through the same segment
+*position* at once; it folds the compile pass into an event list with
+static-cost gaps.  A position whose trace all lanes share (the whole of
+a fixed-input campaign) calls the components' *broadcast* methods: one
+scalar address for all lanes, set indices memoized per line, and only
+fetch probes on new lines, loads and stores cost vector work.  At a
+divergent position (varied inputs) the lanes are packed by event
+skeleton — traces with the same sequence of instruction fetches,
+loads and stores — and each subgroup calls the *index* methods with
+per-lane address columns (data-TLB probes masked per lane).  The **step loop** in
+:mod:`repro.platform.batch_concurrent` (co-scheduled campaigns) lets
+lanes diverge in time and calls the index methods too.
 
 Bit-identity contract
 ---------------------
@@ -44,9 +49,10 @@ counters and PRNG draw sequences are equal bit for bit to
 ``[platform.run(trace, seed, core_id) for seed in seeds]`` (verified
 by ``tests/platform/test_batch_backend.py``).  Per-run randomization
 streams are keyed, as in the scalar path, by the derivation chain
-``derive_seed(run_seed, core_id + 101)`` → per-component sub-seeds, so
-a run's results depend only on ``(run_seed, trace)`` — never on which
-runs share its batch.
+``derive_seed(run_seed, core_id + 101)`` → per-component sub-seeds
+(computed for all lanes at once by :func:`_derive_seeds`), so a run's
+results depend only on ``(run_seed, segments)`` — never on which runs
+share its batch.
 
 Deterministic platforms (``PlatformConfig.is_randomized`` false) are
 handled by a degenerate fast path: one scalar reference execution is
@@ -72,7 +78,7 @@ from .core import _FP_OPS, CoreConfig, RunResult
 from .fpu import Fpu, FpuStats
 from .memory import MemoryConfig, MemoryStats
 from .pipeline import PipelineModel, PipelineStats
-from .prng import CombinedLfsrPrng, Lfsr, SplitMix64, derive_seed
+from .prng import CombinedLfsrPrng, Lfsr
 from .soc import Platform
 from .tlb import TlbConfig, TlbStats
 from .trace import InstrKind, Trace
@@ -177,6 +183,11 @@ def batch_unsupported_reason(
 
 #: Memory kinds of a compiled instruction (the scalar LOAD/STORE split).
 _MK_NONE, _MK_LOAD, _MK_STORE = 0, 1, 2
+
+#: Probe flags of an event skeleton code (see
+#: :meth:`_CompiledSegment.lane_columns`); the low two bits hold the
+#: memory kind.
+_HAS_FETCH, _HAS_ITLB = 4, 8
 
 #: A compiled instruction: ``(fetch_pc, itlb_page, cost, mem_kind,
 #: mem_addr, dtlb_page)``.
@@ -300,6 +311,33 @@ class _CompiledSegment:
     tail: int
     length: int
     totals: Tuple[int, ...]
+    _lane_columns: Optional[Tuple[bytes, Any]] = None
+
+    def lane_columns(self) -> Tuple[bytes, Any]:
+        """The events as ``(skeleton, columns)``, built on first use.
+
+        ``skeleton`` holds one code per event: the memory kind plus the
+        :data:`_HAS_FETCH`/:data:`_HAS_ITLB` probe flags, which follow
+        the code addresses.  Segments with equal skeletons make the same
+        cache, ITLB, bus and DRAM calls in the same order and differ
+        only in the values, the ``(6, events)`` int64 ``columns``: gap,
+        fetch_pc, itlb_page, addr, dtlb_page (-1: no DTLB probe) and
+        pre_cost.  DTLB probes follow the data addresses, so they stay
+        per-lane values rather than fragmenting the skeleton by data
+        page.
+        """
+        if self._lane_columns is None:
+            np = _np
+            skeleton = bytes(
+                mem_kind
+                | (_HAS_FETCH if fetch_pc >= 0 else 0)
+                | (_HAS_ITLB if itlb_page >= 0 else 0)
+                for _, fetch_pc, itlb_page, mem_kind, _, _, _ in self.events
+            )
+            events = np.array(self.events, dtype=np.int64).reshape(-1, 7)
+            columns = events[:, [0, 1, 2, 4, 5, 6]].T.copy()
+            self._lane_columns = (skeleton, columns)
+        return self._lane_columns
 
 
 def _compile_segment(trace: Trace, core_cfg: CoreConfig) -> _CompiledSegment:
@@ -361,8 +399,10 @@ def _memoized(
 # *run* (the shared bus and DRAM).  Index methods take arrays of unique
 # lane indices: state is gathered, computed at the event's width and
 # scattered back, so fancy-indexed ``+=`` updates are exact.  Broadcast
-# methods serve the segment loop, whose lanes all sit at the same
-# trace position: one scalar address for every lane.
+# methods serve the segment loop at positions whose trace every lane
+# shares: one scalar address for every lane.  At divergent positions
+# the segment loop calls the cache/TLB index methods and the lane-subset
+# forms of its bus, DRAM and store-buffer methods.
 
 
 class _StepTables:
@@ -472,16 +512,16 @@ class _VecPrng:
     (non-power-of-two ``randint``) retries only the rejecting lanes.
     """
 
-    def __init__(self, seeds: Sequence[int]) -> None:
+    def __init__(self, seeds: Any) -> None:
         np = _np
-        degrees = CombinedLfsrPrng.DEGREES
-        columns: List[List[int]] = [[] for _ in degrees]
-        for seed in seeds:
-            expander = SplitMix64(seed)
-            for slot, degree in enumerate(degrees):
-                state = expander.next_u64() & ((1 << degree) - 1)
-                columns[slot].append(state if state else 1)
-        self._states = np.array(columns, dtype=np.uint32)
+        seeds_u64 = _as_u64(seeds)
+        slots: List[Any] = []
+        # Slot k takes the (k+1)-th SplitMix64 draw of the lane seed, as
+        # the scalar reseed's expander hands them out.
+        for slot, degree in enumerate(CombinedLfsrPrng.DEGREES):
+            state = _mix(slot + 1, seeds_u64) & np.uint64((1 << degree) - 1)
+            slots.append(np.where(state == 0, np.uint64(1), state))
+        self._states = np.stack(slots).astype(np.uint32)
 
     def _draw(self, states: Any, nbits: int) -> Tuple[Any, Any]:
         """(value, new_states) of one ``nbits`` draw over stacked lanes."""
@@ -596,7 +636,7 @@ class _VecRoundRobinRepl:
 
 
 def _make_replacement(
-    name: str, seeds: Sequence[int], num_sets: int, num_ways: int
+    name: str, seeds: Any, num_sets: int, num_ways: int
 ) -> Any:
     """Replacement state for ``len(seeds)`` lanes (the seeds key the
     random policy's per-lane generators)."""
@@ -607,6 +647,24 @@ def _make_replacement(
     if name == "round_robin":
         return _VecRoundRobinRepl(len(seeds), num_sets, num_ways)
     raise BatchUnsupported(f"replacement {name!r} is not vectorized")
+
+
+def _as_u64(seeds: Any) -> Any:
+    """``seeds`` as a uint64 array (Python ints reduced mod 2**64)."""
+    np = _np
+    if isinstance(seeds, np.ndarray):
+        return seeds.astype(np.uint64, copy=False)
+    return np.array([int(seed) & _M64 for seed in seeds], dtype=np.uint64)
+
+
+def _derive_seeds(bases: Any, *components: int) -> Any:
+    """Vectorized :func:`~repro.platform.prng.derive_seed`: the same
+    SplitMix64 chain over a uint64 array of base seeds."""
+    np = _np
+    value = _mix(1, bases)
+    for component in components:
+        value = _mix(1, value ^ np.uint64(int(component) & _M64))
+    return value & np.uint64((1 << 63) - 1)
 
 
 def _mix(values: Any, seeds_u64: Any) -> Any:
@@ -639,7 +697,7 @@ class _VecCache:
     counted once for all lanes, index accesses per lane.
     """
 
-    def __init__(self, cfg: CacheConfig, seeds: Sequence[int]) -> None:
+    def __init__(self, cfg: CacheConfig, seeds: Any) -> None:
         np = _np
         lanes = len(seeds)
         self.num_sets = cfg.num_sets
@@ -649,7 +707,7 @@ class _VecCache:
         self.tags = np.full((lanes, self.num_sets, self.ways), -1, dtype=np.int64)
         self.valid = np.zeros((lanes, self.num_sets), dtype=np.int64)
         self._placement = cfg.placement
-        self._seeds = np.array([s & _M64 for s in seeds], dtype=np.uint64)
+        self._seeds = _as_u64(seeds)
         self._rotations: Dict[int, Any] = {}
         self._set_memo: Dict[int, Any] = {}
         self.repl = _make_replacement(cfg.replacement, seeds, self.num_sets, self.ways)
@@ -788,7 +846,7 @@ class _VecCache:
 class _VecTlb:
     """Fully-associative TLB with per-lane entry stores."""
 
-    def __init__(self, cfg: TlbConfig, seeds: Sequence[int]) -> None:
+    def __init__(self, cfg: TlbConfig, seeds: Any) -> None:
         np = _np
         lanes = len(seeds)
         self.entries_per_lane = cfg.entries
@@ -869,7 +927,8 @@ class _VecBus:
     two values per run — 0 (never requested) or ``core_id + 1`` — so the
     arbitration delay collapses to a two-case constant selected by a
     ``requested`` flag, and only the contention counter its
-    :class:`RunResult` reports is kept.
+    :class:`RunResult` reports is kept.  :meth:`cost_lanes` is the same
+    arbitration for a subset of runs at per-run times.
     """
 
     def __init__(self, cfg: BusConfig, runs: int, core_ids: Sequence[int]) -> None:
@@ -928,11 +987,10 @@ class _VecBus:
         self.contention_by_core[rows, run_sel] += wait
         return total
 
-    def request_lanes(self, now: Any, is_line: bool, lanes: Any) -> None:
-        """Segment-loop ``Bus.request`` on the given runs; advances
-        ``now`` in place by wait + transfer, as the scalar caller does."""
+    def cost_lanes(self, now_l: Any, is_line: bool, lanes: Any) -> Any:
+        """Segment-loop ``Bus.request`` on the given runs, issued at
+        ``now_l`` (aligned with ``lanes``); returns wait + transfer."""
         np = _np
-        now_l = now[lanes]
         wait = self.busy_until[lanes] - now_l
         np.maximum(wait, 0, out=wait)
         if self._multi:
@@ -940,11 +998,16 @@ class _VecBus:
                 self._requested[lanes], self._delay_again, self._delay_first
             )
             self._requested[lanes] = True
-        transfer = self._line_cost if is_line else self._word_cost
-        done = now_l + wait + transfer
-        self.busy_until[lanes] = done
+        cost = wait + (self._line_cost if is_line else self._word_cost)
+        self.busy_until[lanes] = now_l + cost
         self.contention[lanes] += wait
-        now[lanes] = done
+        return cost
+
+    def request_lanes(self, now: Any, is_line: bool, lanes: Any) -> None:
+        """Segment-loop ``Bus.request`` on the given runs; advances
+        ``now`` in place by wait + transfer, as the scalar caller does."""
+        now_l = now[lanes]
+        now[lanes] = now_l + self.cost_lanes(now_l, is_line, lanes)
 
     def request_all(self, now: Any, is_line: bool) -> Any:
         """Segment-loop ``Bus.request`` on every run; returns the
@@ -1036,7 +1099,10 @@ class _VecMemory:
         stalled = position < cfg.refresh_stall_cycles
         return np.where(stalled, cfg.refresh_stall_cycles - position, 0)
 
-    def _latency(self, runs: Any, addrs: Any, is_write: bool, now: Any) -> Any:
+    def latency(self, runs: Any, addrs: Any, is_write: bool, now: Any) -> Any:
+        """Segment-loop device latency of one access per run (``runs``
+        an index array or ``slice(None)``; ``addrs`` one address or one
+        per run), issued at ``now``."""
         cost: Any = self._write_cost if is_write else self._read_cost
         if not self._closed:
             cost = self._row_cost(runs, addrs, is_write)[0]
@@ -1069,12 +1135,12 @@ class _VecMemory:
         if self._constant:
             now[lanes] += self._write_cost if is_write else self._read_cost
         else:
-            now[lanes] += self._latency(lanes, byte_address, is_write, now[lanes])
+            now[lanes] += self.latency(lanes, byte_address, is_write, now[lanes])
 
     def access_all(self, byte_address: int, is_write: bool, now: Any) -> Any:
         """Segment-loop access on every run; returns the cost (an int
         when it is run-invariant)."""
-        return self._latency(slice(None), byte_address, is_write, now)
+        return self.latency(slice(None), byte_address, is_write, now)
 
     def stats_for(self, run: int) -> MemoryStats:
         """Per-run counters as a scalar-shaped :class:`MemoryStats`."""
@@ -1094,9 +1160,10 @@ class _VecStoreBuffer:
     The scalar store path drains ready entries *before every store* and
     then stalls on a still-full buffer.  The broadcast methods do
     exactly that on every lane (:meth:`drain`, :meth:`stall_if_full`,
-    :meth:`push_all`): the segment loop restarts its clock every
-    segment while the ring carries over, so its per-lane time is not
-    monotone and the drain must be eager.
+    :meth:`push_all`), and :meth:`make_room` plus :meth:`push` on a lane
+    subset: the segment loop restarts its clock every segment while the
+    ring carries over, so its per-lane time is not monotone and the
+    drain must be eager.
 
     The co-scheduled step loop's per-lane clocks only move forward, so
     :meth:`prepare_store` drains lazily.  Draining is observable only
@@ -1153,18 +1220,33 @@ class _VecStoreBuffer:
         """Make room for one entry per indexed lane: lazy drain of full
         lanes, then the scalar full-buffer stall (``now`` is advanced in
         place to the oldest entry's ready time on stalled lanes)."""
-        np = _np
         full = self.count[lanes] >= self.depth
         if full.any():
             full_lanes = lanes[full]
-            self._drain_idx(full_lanes, now[full_lanes])
-            still = self.count[full_lanes] >= self.depth
-            if still.any():
-                stalled = full_lanes[still]
-                head = self.head[stalled]
-                now[stalled] = np.maximum(now[stalled], self.ready[stalled, head])
-                self.head[stalled] = (head + 1) % self.depth
-                self.count[stalled] -= 1
+            now_f = now[full_lanes]
+            self._drain_idx(full_lanes, now_f)
+            self._stall_full(full_lanes, now_f)
+            now[full_lanes] = now_f
+
+    def make_room(self, lanes: Any, now_l: Any) -> None:
+        """The scalar store prologue on the given lanes, eagerly: drain
+        every ready entry at ``now_l`` (aligned with ``lanes``), then
+        stall a still-full lane — the segment loop's form, whose clock
+        restarts every segment."""
+        self._drain_idx(lanes, now_l)
+        self._stall_full(lanes, now_l)
+
+    def _stall_full(self, lanes: Any, now_l: Any) -> None:
+        """A store into a full buffer waits for the oldest entry: pops
+        it and advances ``now_l`` (aligned with ``lanes``) in place."""
+        np = _np
+        full = self.count[lanes] >= self.depth
+        if full.any():
+            stalled = lanes[full]
+            head = self.head[stalled]
+            now_l[full] = np.maximum(now_l[full], self.ready[stalled, head])
+            self.head[stalled] = (head + 1) % self.depth
+            self.count[stalled] -= 1
 
     def _drain_idx(self, lanes: Any, now: Any) -> None:
         """Pop every leading entry already drained at ``now``.
@@ -1201,13 +1283,18 @@ def _private_components(
     Lanes are core-major: lane ``ci * len(seeds) + r`` is core
     ``core_ids[ci]`` in run ``r``.
     """
-    columns: Tuple[List[int], ...] = ([], [], [], [])
-    for core_id in core_ids:
-        for seed in seeds:
-            core_seed = derive_seed(seed, core_id + 101)
-            for component, column in enumerate(columns):
-                column.append(derive_seed(core_seed, core_id, component))
-    icache_seeds, dcache_seeds, itlb_seeds, dtlb_seeds = columns
+    np = _np
+    run_seeds = _as_u64(seeds)
+    core_seeds = [_derive_seeds(run_seeds, core_id + 101) for core_id in core_ids]
+    icache_seeds, dcache_seeds, itlb_seeds, dtlb_seeds = (
+        np.concatenate(
+            [
+                _derive_seeds(core_seed, core_id, component)
+                for core_id, core_seed in zip(core_ids, core_seeds)
+            ]
+        )
+        for component in range(4)
+    )
     return (
         _VecCache(core_cfg.icache, icache_seeds),
         _VecCache(core_cfg.dcache, dcache_seeds),
@@ -1250,13 +1337,13 @@ class BatchRunOutcome:
     (TVCA-style runs restart the cycle clock per job while hardware
     state carries over, so per-segment values are the primitive);
     ``results[r]`` aggregates the whole run — ``cycles`` is the sum of
-    the run's segment cycles and the statistics span all segments, as
-    the scalar per-run counters do.
+    the run's segment cycles and the statistics (instruction count
+    included) span all of the run's segments, as the scalar per-run
+    counters do.
     """
 
     seeds: Tuple[int, ...]
     segment_cycles: List[Tuple[int, ...]]
-    instructions: int
     results: List[RunResult]
 
 
@@ -1276,7 +1363,103 @@ class _BatchEngine:
         self.memory = _VecMemory(cfg.memory, self.runs)
         self.store_buffer = _VecStoreBuffer(self.runs, core_cfg.store_buffer_depth)
 
-    def run_segments(self, segments: Sequence[Trace]) -> BatchRunOutcome:
+    def run_segments(self, lane_segments: Sequence[Sequence[Trace]]) -> BatchRunOutcome:
+        """Run every lane's segment list, one segment position at a time.
+
+        A position whose trace every lane shares runs the broadcast
+        loop; otherwise the lanes are partitioned by event skeleton and
+        each subgroup runs the per-lane loop.  Hardware state carries
+        across positions either way.
+        """
+        np = _np
+        runs = self.runs
+        core_cfg = self.core_cfg
+        positions = len(lane_segments[0])
+        cycles = np.zeros((positions, runs), dtype=np.int64)
+        # Per run: instruction count, then the nine pipeline/FPU counters.
+        counters = np.zeros((runs, 1 + _STAT_FIELDS), dtype=np.int64)
+        for position in range(positions):
+            column = [segments[position] for segments in lane_segments]
+            lead = column[0]
+            if all(trace is lead for trace in column):
+                compiled = _memoized(_compile_segment, lead, core_cfg)
+                cycles[position] = self._run_shared(compiled)
+                counters += (compiled.length,) + compiled.totals
+                continue
+            for lanes, skeleton, columns, tails, counts in self._subgroups(column):
+                now = self._run_lanes(skeleton, columns, lanes)
+                cycles[position, lanes] = now + tails
+                counters[lanes] += counts
+
+        segment_cycles = [tuple(run_cycles) for run_cycles in cycles.T.tolist()]
+        run_counts = counters.tolist()
+        results: List[RunResult] = []
+        for run, run_cycles in enumerate(segment_cycles):
+            pipeline, fpu = _stats_from_counters(run_counts[run][1:])
+            results.append(
+                RunResult(
+                    cycles=sum(run_cycles),
+                    instructions=run_counts[run][0],
+                    icache=self.icache.stats_for(run),
+                    dcache=self.dcache.stats_for(run),
+                    itlb=self.itlb.stats_for(run),
+                    dtlb=self.dtlb.stats_for(run),
+                    fpu=fpu,
+                    pipeline=pipeline,
+                    core_id=self.core_id,
+                    bus_contention_cycles=int(self.bus.contention[run]),
+                )
+            )
+        return BatchRunOutcome(
+            seeds=tuple(), segment_cycles=segment_cycles, results=results
+        )
+
+    def _subgroups(self, column: Sequence[Trace]) -> List[Tuple[Any, ...]]:
+        """Pack the lanes of one divergent position by event skeleton.
+
+        Per subgroup: its lane indices, the shared skeleton, the ``(6,
+        events, lanes)`` per-lane columns, and per lane the segment's
+        tail and its instruction + pipeline/FPU counts.
+        """
+        np = _np
+        by_trace: Dict[int, Tuple[Trace, List[int]]] = {}
+        for lane, trace in enumerate(column):
+            by_trace.setdefault(id(trace), (trace, []))[1].append(lane)
+        by_skeleton: Dict[bytes, List[Tuple[_CompiledSegment, List[int]]]] = {}
+        for trace, lanes in by_trace.values():
+            compiled = _memoized(_compile_segment, trace, self.core_cfg)
+            skeleton = compiled.lane_columns()[0]
+            by_skeleton.setdefault(skeleton, []).append((compiled, lanes))
+        subgroups: List[Tuple[Any, ...]] = []
+        for skeleton, members in by_skeleton.items():
+            # ``which[i]``: the member (distinct trace) of the i-th lane.
+            which = np.repeat(
+                np.arange(len(members)), [len(lanes) for _, lanes in members]
+            )
+            compiled_members = [compiled for compiled, _ in members]
+            subgroups.append(
+                (
+                    np.array([lane for _, lanes in members for lane in lanes]),
+                    skeleton,
+                    np.stack(
+                        [compiled.lane_columns()[1] for compiled in compiled_members],
+                        axis=2,
+                    )[:, :, which],
+                    np.array([compiled.tail for compiled in compiled_members])[which],
+                    np.array(
+                        [
+                            (compiled.length,) + compiled.totals
+                            for compiled in compiled_members
+                        ],
+                        dtype=np.int64,
+                    )[which],
+                )
+            )
+        return subgroups
+
+    def _run_shared(self, compiled: _CompiledSegment) -> Any:
+        """One segment every lane shares: broadcast component calls, one
+        scalar address for all lanes.  Returns the per-lane cycles."""
         np = _np
         icache = self.icache
         dcache = self.dcache
@@ -1285,137 +1468,194 @@ class _BatchEngine:
         bus = self.bus
         memory = self.memory
         store_buffer = self.store_buffer
-        core_cfg = self.core_cfg
+        now = np.zeros(self.runs, dtype=np.int64)
+        for (
+            gap,
+            fetch_pc,
+            itlb_page,
+            mem_kind,
+            addr,
+            dtlb_page,
+            pre_cost,
+        ) in compiled.events:
+            if gap:
+                now += gap
+            if fetch_pc >= 0:
+                if itlb_page >= 0:
+                    itlb.lookup(itlb_page, now)
+                lanes = icache.access(fetch_pc, False)
+                if lanes.size:
+                    bus.request_lanes(now, True, lanes)
+                    memory.access_lanes(fetch_pc, False, now, lanes)
+            if mem_kind == _MK_NONE:
+                continue
+            if pre_cost:
+                now += pre_cost
+            if dtlb_page >= 0:
+                dtlb.lookup(dtlb_page, now)
+            if mem_kind == _MK_LOAD:
+                lanes = dcache.access(addr, False)
+                if lanes.size:
+                    bus.request_lanes(now, True, lanes)
+                    memory.access_lanes(addr, False, now, lanes)
+            else:
+                dcache.access(addr, True)
+                store_buffer.drain(now)
+                now = store_buffer.stall_if_full(now)
+                cost = bus.request_all(now, False)
+                cost = cost + memory.access_all(addr, True, now)
+                store_buffer.push_all(now + cost)
+        if compiled.tail:
+            now += compiled.tail
+        return now
 
-        per_segment: List[Any] = []
-        totals = [0] * _STAT_FIELDS
-        instructions = 0
-        for trace in segments:
-            compiled = _memoized(_compile_segment, trace, core_cfg)
-            now = np.zeros(self.runs, dtype=np.int64)
-            for (
-                gap,
-                fetch_pc,
-                itlb_page,
-                mem_kind,
-                addr,
-                dtlb_page,
-                pre_cost,
-            ) in compiled.events:
-                if gap:
-                    now += gap
-                if fetch_pc >= 0:
-                    if itlb_page >= 0:
-                        itlb.lookup(itlb_page, now)
-                    lanes = icache.access(fetch_pc, False)
-                    if lanes.size:
-                        bus.request_lanes(now, True, lanes)
-                        memory.access_lanes(fetch_pc, False, now, lanes)
-                if mem_kind == _MK_NONE:
-                    continue
-                if pre_cost:
-                    now += pre_cost
-                if dtlb_page >= 0:
-                    dtlb.lookup(dtlb_page, now)
-                if mem_kind == _MK_LOAD:
-                    lanes = dcache.access(addr, False)
-                    if lanes.size:
-                        bus.request_lanes(now, True, lanes)
-                        memory.access_lanes(addr, False, now, lanes)
-                else:
-                    dcache.access(addr, True)
-                    store_buffer.drain(now)
-                    now = store_buffer.stall_if_full(now)
-                    cost = bus.request_all(now, False)
-                    cost = cost + memory.access_all(addr, True, now)
-                    store_buffer.push_all(now + cost)
-            if compiled.tail:
-                now += compiled.tail
-            per_segment.append(now)
-            instructions += compiled.length
-            totals = [a + b for a, b in zip(totals, compiled.totals)]
+    def _run_lanes(self, skeleton: bytes, columns: Any, lanes: Any) -> Any:
+        """One skeleton subgroup of a divergent position: index
+        component calls with per-lane values (``columns`` is ``(6,
+        events, len(lanes))``).  Returns the lanes' cycles before the
+        tail."""
+        np = _np
+        icache = self.icache
+        dcache = self.dcache
+        itlb = self.itlb
+        dtlb = self.dtlb
+        bus = self.bus
+        memory = self.memory
+        store_buffer = self.store_buffer
+        gaps, fetch_pcs, itlb_pages, addrs, dtlb_pages, pre_costs = columns
+        dtlb_probes = dtlb_pages >= 0
+        probe_any = dtlb_probes.any(axis=1).tolist()
+        probe_all = dtlb_probes.all(axis=1).tolist()
+        now = np.zeros(lanes.size, dtype=np.int64)
 
-        pipeline, fpu = _stats_from_counters(totals)
-        segment_cycles = [
-            tuple(int(seg[run]) for seg in per_segment)
-            for run in range(self.runs)
-        ]
-        results = [
-            RunResult(
-                cycles=sum(segment_cycles[run]),
-                instructions=instructions,
-                icache=icache.stats_for(run),
-                dcache=dcache.stats_for(run),
-                itlb=itlb.stats_for(run),
-                dtlb=dtlb.stats_for(run),
-                fpu=replace(fpu),
-                pipeline=replace(pipeline),
-                core_id=self.core_id,
-                bus_contention_cycles=int(bus.contention[run]),
-            )
-            for run in range(self.runs)
-        ]
-        return BatchRunOutcome(
-            seeds=tuple(),
-            segment_cycles=segment_cycles,
-            instructions=instructions,
-            results=results,
-        )
+        def fill(miss: Any, line_addrs: Any) -> None:
+            # A line fill on the miss lanes: bus, then DRAM at the
+            # post-bus time, as the scalar caller charges them.
+            miss_lanes = lanes[miss]
+            issue = now[miss]
+            issue += bus.cost_lanes(issue, True, miss_lanes)
+            issue += memory.latency(miss_lanes, line_addrs[miss], False, issue)
+            now[miss] = issue
+
+        for event, code in enumerate(skeleton):
+            now += gaps[event]
+            if code & _HAS_FETCH:
+                if code & _HAS_ITLB:
+                    now += itlb.lookup_idx(lanes, itlb_pages[event])
+                pcs = fetch_pcs[event]
+                miss = ~icache.access_idx(lanes, pcs, False)
+                if miss.any():
+                    fill(miss, pcs)
+            mem_kind = code & 3
+            if mem_kind == _MK_NONE:
+                continue
+            now += pre_costs[event]
+            if probe_all[event]:
+                now += dtlb.lookup_idx(lanes, dtlb_pages[event])
+            elif probe_any[event]:
+                probing = dtlb_probes[event]
+                now[probing] += dtlb.lookup_idx(
+                    lanes[probing], dtlb_pages[event][probing]
+                )
+            addr = addrs[event]
+            if mem_kind == _MK_LOAD:
+                miss = ~dcache.access_idx(lanes, addr, False)
+                if miss.any():
+                    fill(miss, addr)
+            else:
+                dcache.access_idx(lanes, addr, True)
+                store_buffer.make_room(lanes, now)
+                cost = bus.cost_lanes(now, False, lanes)
+                cost = cost + memory.latency(lanes, addr, True, now)
+                store_buffer.push(lanes, now + cost)
+        return now
 
 
 def _run_degenerate(
     platform: Platform,
-    segments: Sequence[Trace],
+    lane_segments: Sequence[Sequence[Trace]],
     seeds: Sequence[int],
     core_id: int,
 ) -> BatchRunOutcome:
-    """Deterministic platform: measure once, broadcast to every run
-    (see :func:`_clone_result`)."""
-    platform.reset(seeds[0])
-    core = platform.cores[core_id]
-    measured = [core.execute(trace) for trace in segments]
-    cycles = tuple(result.cycles for result in measured)
-    instructions = sum(len(trace) for trace in segments)
-    reference = replace(
-        measured[-1],
-        cycles=sum(cycles),
-        instructions=instructions,
-        bus_contention_cycles=platform.bus.stats.contention_by_master.get(core_id, 0),
-    )
+    """Deterministic platform: measure each distinct segment list once,
+    broadcast it to the runs that share it (see :func:`_clone_result`)."""
+    measured: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], RunResult]] = {}
+    segment_cycles: List[Tuple[int, ...]] = []
+    results: List[RunResult] = []
+    for segments in lane_segments:
+        key = tuple(id(trace) for trace in segments)
+        entry = measured.get(key)
+        if entry is None:
+            platform.reset(seeds[0])
+            core = platform.cores[core_id]
+            measured_segments = [core.execute(trace) for trace in segments]
+            cycles = tuple(result.cycles for result in measured_segments)
+            reference = replace(
+                measured_segments[-1],
+                cycles=sum(cycles),
+                instructions=sum(len(trace) for trace in segments),
+                bus_contention_cycles=platform.bus.stats.contention_by_master.get(
+                    core_id, 0
+                ),
+            )
+            entry = (cycles, reference)
+            measured[key] = entry
+        segment_cycles.append(entry[0])
+        results.append(_clone_result(entry[1]))
     return BatchRunOutcome(
-        seeds=tuple(seeds),
-        segment_cycles=[cycles for _ in seeds],
-        instructions=instructions,
-        results=[_clone_result(reference) for _ in seeds],
+        seeds=tuple(seeds), segment_cycles=segment_cycles, results=results
     )
 
 
 def run_batch_segments(
     platform: Platform,
-    segments: Sequence[Trace],
+    segments: Sequence[Any],
     seeds: Sequence[int],
     core_id: int = 0,
 ) -> BatchRunOutcome:
-    """Execute ``segments`` back to back for every seed, vectorized.
+    """Execute segment lists back to back for every seed, vectorized.
 
-    Segment semantics match the scalar multi-job protocol
-    (:meth:`TvcaApplication.run_once`): each segment starts a fresh
-    stepper — the cycle clock and fetch/translation locality restart —
-    while caches, TLBs, the store buffer and the bus horizon carry
-    over; the platform is fully reset once per run before the first
-    segment.  A single-segment call is exactly ``platform.run``.
+    ``segments`` is either one list of traces every run executes or one
+    list per run (aligned with ``seeds``, all of one length; the traces
+    may differ).  Segment semantics match the scalar
+    multi-job protocol (:meth:`TvcaApplication.run_once`): each segment
+    starts a fresh stepper — the cycle clock and fetch/translation
+    locality restart — while caches, TLBs, the store buffer and the bus
+    horizon carry over; the platform is fully reset once per run before
+    the first segment.  A single-segment call is exactly
+    ``platform.run``.
+
+    Lanes at the same position that hold the same trace object advance
+    together on scalar addresses; divergent lanes advance per event
+    skeleton with per-lane addresses.  Callers get the most sharing by
+    passing equal segments as one shared object (as memoized traces
+    are).
     """
     if not seeds:
         raise ValueError("seeds must not be empty")
     if not segments:
         raise ValueError("segments must not be empty")
+    if isinstance(segments[0], Trace):
+        shared = tuple(segments)
+        lane_segments: Sequence[Sequence[Trace]] = [shared] * len(seeds)
+    else:
+        lane_segments = [tuple(run_segments) for run_segments in segments]
+        if len(lane_segments) != len(seeds):
+            raise ValueError(
+                f"{len(lane_segments)} per-run segment lists for "
+                f"{len(seeds)} seeds"
+            )
+        if len({len(run_segments) for run_segments in lane_segments}) != 1:
+            raise ValueError("every run needs the same number of segments")
+        if not lane_segments[0]:
+            raise ValueError("segments must not be empty")
     reason = batch_unsupported_reason(platform, core_id)
     if reason is not None:
         raise BatchUnsupported(reason)
     if not platform.config.is_randomized:
-        return _run_degenerate(platform, segments, seeds, core_id)
+        return _run_degenerate(platform, lane_segments, seeds, core_id)
     engine = _BatchEngine(platform, seeds, core_id)
-    outcome = engine.run_segments(segments)
+    outcome = engine.run_segments(lane_segments)
     outcome.seeds = tuple(seeds)
     return outcome
 

@@ -26,13 +26,14 @@ program-level paths a tool would distinguish on the real TVCA.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from ...platform.soc import Platform
 from ...platform.prng import derive_seed
 from ...platform.trace import Trace
-from ...programs.compiler import generate_trace
+from ...programs.compiler import PathSignature, generate_trace
 from ...programs.layout import LayoutConfig, LinkedImage, link
 from ...programs.dsl import Block, Call, Program, alu
 from .controller import (
@@ -52,6 +53,17 @@ from .tasks import (
 )
 
 __all__ = ["TvcaConfig", "TvcaRunResult", "TvcaRunPlan", "TvcaApplication"]
+
+#: Bound on the job traces one :class:`TvcaApplication` memoizes.  The
+#: four sensor jobs of a hyperperiod pair repeat across every run, the
+#: actuator jobs mostly differ; the bound caps memory on long
+#: varied-input campaigns while the least-recently-used order keeps the
+#: shared jobs resident.
+JOB_TRACE_MEMO_SIZE = 512
+
+_JobTrace = Tuple[Trace, PathSignature]
+
+
 
 
 @dataclass(frozen=True)
@@ -201,6 +213,7 @@ class TvcaApplication:
             self.TASK_ACT_X: self._act_x_program,
             self.TASK_ACT_Y: self._act_y_program,
         }
+        self._job_traces: "OrderedDict[Hashable, _JobTrace]" = OrderedDict()
 
     # ------------------------------------------------------------------
     # Environment construction
@@ -214,13 +227,34 @@ class TvcaApplication:
     # ------------------------------------------------------------------
     # Trace planning (platform-independent)
     # ------------------------------------------------------------------
+    def _job_trace(self, name: str, env: Dict[str, Any]) -> _JobTrace:
+        """The trace and signature of one job of task ``name``, memoized.
+
+        A job trace is a pure function of ``(task, env)``, so equal jobs
+        of any runs return the *same* :class:`Trace` object.  Shared
+        traces are read-only: executors and the batch engine only read
+        them, and :meth:`TvcaRunPlan.concatenated_trace` copies.
+        """
+        key = (name, tuple(sorted(env.items())))
+        entry = self._job_traces.get(key)
+        if entry is None:
+            entry = generate_trace(self._programs[name], self.image, env)
+            self._job_traces[key] = entry
+            if len(self._job_traces) > JOB_TRACE_MEMO_SIZE:
+                self._job_traces.popitem(last=False)
+        else:
+            self._job_traces.move_to_end(key)
+        return entry
+
     def build_plan(self, input_seed: int) -> TvcaRunPlan:
         """Run the closed control loop and build every job's trace.
 
         Pure function of ``input_seed``: the plant, sensor processing and
         controller mathematics never observe platform timing, so the
         traces (and the executed path) are fully determined before a
-        single instruction is simulated.
+        single instruction is simulated.  Job traces come from a memo
+        shared by every plan (see :meth:`_job_trace`), so plans of
+        different seeds may hold the same read-only trace objects.
         """
         cfg = self.config
         plant = TvcPlant(cfg.plant, input_seed)
@@ -285,7 +319,7 @@ class TvcaApplication:
                     "aero_idx_y": self._aero_index(filtered[2]),
                 }
 
-            trace, signature = generate_trace(self._programs[name], self.image, env)
+            trace, signature = self._job_trace(name, env)
             traces.append(trace)
             signatures.append(f"{name}[{job.index}]:{signature.as_key()}")
 

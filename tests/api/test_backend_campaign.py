@@ -71,6 +71,50 @@ def test_tvca_fixed_campaign_backend_parity():
 
 
 @requires_numpy
+def test_tvca_varied_campaign_batches_and_matches_scalar(monkeypatch):
+    """The default campaign shape (varied inputs) reaches the segment
+    engine under ``auto`` — one packed call, one lane per run — and every
+    backend composition records exactly the scalar observations."""
+    from repro.platform import batch as batch_engine
+
+    runs = 40
+    scalar = _tvca_campaign("scalar", runs=runs, vary_inputs=True)
+    lanes_per_call = []
+    engine = batch_engine.run_batch_segments
+
+    def spy(platform, segments, seeds, core_id=0):
+        lanes_per_call.append(len(seeds))
+        return engine(platform, segments, seeds, core_id)
+
+    monkeypatch.setattr(batch_engine, "run_batch_segments", spy)
+    auto = _tvca_campaign("auto", runs=runs, vary_inputs=True)
+    assert lanes_per_call == [runs]
+    assert auto.backend == "batch"
+    batch = _tvca_campaign("batch", runs=runs, vary_inputs=True)
+    sharded = _tvca_campaign("batch", shards=3, runs=runs, vary_inputs=True)
+    assert (
+        scalar.run_details
+        == auto.run_details
+        == batch.run_details
+        == sharded.run_details
+    )
+
+    policy = ConvergencePolicy(
+        step=10, block_size=2, tolerance=0.5, probability=1e-3
+    )
+    adaptive_scalar = _tvca_campaign(
+        "scalar", runs=runs, vary_inputs=True, convergence=policy
+    )
+    adaptive_batch = _tvca_campaign(
+        "batch", runs=runs, vary_inputs=True, convergence=policy
+    )
+    assert adaptive_batch.run_details == adaptive_scalar.run_details
+    assert adaptive_batch.run_details == scalar.run_details[
+        : len(adaptive_batch.run_details)
+    ]
+
+
+@requires_numpy
 def test_batch_composes_with_fork_sharding():
     serial = _tvca_campaign("batch")
     sharded = _tvca_campaign("batch", shards=4)

@@ -12,13 +12,21 @@ contention included.  These tests pin that contract:
 * the segmented (multi-job, TVCA-style) run protocol,
 * lane independence (a run's result does not depend on which other
   runs share its batch),
+* per-run segment lists (varied inputs): shared positions, same-
+  skeleton traces with different addresses, different kind sequences
+  and lengths, checked lane by lane against the scalar protocol,
+* the vectorized seed derivation, pinned to ``derive_seed``,
 * the unsupported-configuration and numpy-absent fallbacks.
 """
+
+import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api.backend import BatchPlan, _measure_plan_scalar
 from repro.platform import batch as batch_mod
 from repro.platform.batch import (
     BatchUnsupported,
@@ -32,7 +40,7 @@ from repro.platform.cache import CacheConfig
 from repro.platform.core import CoreConfig
 from repro.platform.fpu import FpuConfig, FpuMode
 from repro.platform.memory import MemoryConfig
-from repro.platform.prng import SplitMix64
+from repro.platform.prng import SplitMix64, derive_seed
 from repro.platform.soc import Platform, PlatformConfig, leon3_det, leon3_rand
 from repro.platform.tlb import TlbConfig
 from repro.platform.trace import InstrKind, Trace
@@ -139,14 +147,14 @@ def test_nonzero_core_id_bit_identical():
 
 
 @st.composite
-def platform_cases(draw):
+def platform_cases(
+    draw, placements=("modulo", "random_modulo", "hash_random")
+):
     """A platform configuration the batch engine claims to support."""
     ways = draw(st.integers(min_value=1, max_value=5))
     sets = draw(st.sampled_from([4, 8, 16]))
     line_bytes = draw(st.sampled_from([16, 32]))
-    placement = draw(
-        st.sampled_from(["modulo", "random_modulo", "hash_random"])
-    )
+    placement = draw(st.sampled_from(placements))
     replacement = draw(st.sampled_from(["random", "lru", "round_robin"]))
     tlb_replacement = draw(st.sampled_from(["random", "lru"]))
     cache = CacheConfig(
@@ -250,6 +258,188 @@ def test_lane_independence():
         run_batch(leon3_rand(cache_kb=1), trace, [seed])[0] for seed in SEEDS
     ]
     assert combined == solo
+
+
+# ----------------------------------------------------------------------
+# Per-run segment lists (varied inputs)
+# ----------------------------------------------------------------------
+
+
+def readdress(trace: Trace, seed: int, page_bytes: int = 4096) -> Trace:
+    """A same-skeleton variant of ``trace``: every load/store moves to
+    another word of its own page or the next one, so kinds and code stay
+    while data lines and DTLB probes move."""
+    rng = SplitMix64(seed)
+    variant = Trace()
+    for instr in trace:
+        addr = instr.addr
+        if instr.kind in (InstrKind.LOAD, InstrKind.STORE):
+            page = (addr & ~(page_bytes - 1)) + page_bytes * rng.randint(2)
+            addr = page | rng.randint(page_bytes // 4) * 4
+        variant.append(
+            instr.kind, instr.pc, addr=addr,
+            operand_class=instr.operand_class,
+            dep_distance=instr.dep_distance, taken=instr.taken,
+        )
+    return variant
+
+
+def recost(trace: Trace, seed: int) -> Trace:
+    """A same-skeleton variant of ``trace`` with other static costs:
+    non-memory instructions change kind and operand class, so gaps and
+    the tail move while every probe stays where it was."""
+    rng = SplitMix64(seed)
+    kinds = (InstrKind.ALU, InstrKind.IMUL, InstrKind.IDIV,
+             InstrKind.FDIV, InstrKind.FSQRT, InstrKind.BRANCH)
+    variant = Trace()
+    for instr in trace:
+        kind, operand_class = instr.kind, instr.operand_class
+        if kind not in (InstrKind.LOAD, InstrKind.STORE):
+            kind = kinds[rng.randint(len(kinds))]
+            operand_class = rng.random()
+        variant.append(
+            kind, instr.pc, addr=instr.addr, operand_class=operand_class,
+            dep_distance=instr.dep_distance, taken=instr.taken,
+        )
+    return variant
+
+
+@st.composite
+def lane_segment_lists(draw, lanes, length=(40, 160)):
+    """Per-lane segment lists drawn from a pool that mixes positions all
+    lanes share, same-skeleton traces with different addresses or
+    costs, different kind sequences and different lengths."""
+    pool = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        base = build_trace(
+            draw(st.integers(min_value=0, max_value=2**32)),
+            draw(st.integers(min_value=length[0], max_value=length[1])),
+            code_span=60, data_span=300,
+        )
+        pool.append(base)
+        for variant in draw(
+            st.lists(st.sampled_from([readdress, recost]), max_size=3)
+        ):
+            pool.append(
+                variant(base, draw(st.integers(min_value=0, max_value=2**32)))
+            )
+    positions = draw(st.integers(min_value=1, max_value=4))
+    columns = []
+    for _ in range(positions):
+        if draw(st.booleans()):
+            columns.append([draw(st.sampled_from(pool))] * lanes)
+        else:
+            columns.append(
+                [draw(st.sampled_from(pool)) for _ in range(lanes)]
+            )
+    return [
+        [column[lane] for column in columns] for lane in range(lanes)
+    ]
+
+
+def scalar_lane(platform, segments, seed, core_id):
+    """One lane through the scalar protocol: the measurement the backend
+    falls back to, plus the whole-run result the engine reports."""
+    plan = BatchPlan(
+        segments=tuple(segments), group_key=None, finalize=lambda m: m,
+        core_id=core_id,
+    )
+    measured = _measure_plan_scalar(platform, plan, seed)
+    core = platform.cores[core_id]
+    result = core.execute(Trace())  # snapshots the run's counters
+    return measured, replace(
+        result,
+        cycles=measured.total_cycles,
+        instructions=measured.instructions,
+        bus_contention_cycles=platform.bus.stats.contention_by_master.get(
+            core_id, 0
+        ),
+    )
+
+
+def assert_lanes_match_scalar(config, core_id, lane_segments, seeds):
+    outcome = run_batch_segments(
+        Platform(config), lane_segments, seeds, core_id
+    )
+    scalar_platform = Platform(config)
+    for lane, (segments, seed) in enumerate(zip(lane_segments, seeds)):
+        measured, result = scalar_lane(scalar_platform, segments, seed, core_id)
+        assert outcome.segment_cycles[lane] == measured.segment_cycles, lane
+        assert outcome.results[lane] == result, lane
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    case=platform_cases(placements=("random_modulo", "hash_random")),
+    data=st.data(),
+    base_seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_per_lane_segments_match_scalar(case, data, base_seed):
+    config, core_id = case
+    lanes = 5
+    lane_segments = data.draw(lane_segment_lists(lanes))
+    seeds = [base_seed + 13 * i for i in range(lanes)]
+    assert_lanes_match_scalar(config, core_id, lane_segments, seeds)
+
+
+@pytest.mark.slow
+@settings(max_examples=100, deadline=None)
+@given(
+    case=platform_cases(),
+    data=st.data(),
+    base_seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_per_lane_segments_sweep_deep(case, data, base_seed):
+    config, core_id = case
+    lanes = 8
+    lane_segments = data.draw(lane_segment_lists(lanes, length=(80, 400)))
+    seeds = [base_seed + 5 * i for i in range(lanes)]
+    assert_lanes_match_scalar(config, core_id, lane_segments, seeds)
+
+
+def test_per_lane_segments_on_deterministic_platform():
+    """The degenerate path measures each distinct segment list once."""
+    short, long = build_trace(60, 300), build_trace(61, 900)
+    lane_segments = [[short, long], [long, long], [short, long], [long, short]]
+    config = leon3_det(cache_kb=1).config
+    assert_lanes_match_scalar(config, 0, lane_segments, SEEDS[:4])
+
+
+def test_shared_and_per_run_forms_agree():
+    """One shared list and the same traces repeated per run are the
+    same campaign."""
+    segments = [build_trace(70 + i, 400) for i in range(3)]
+    shared = run_batch_segments(leon3_rand(cache_kb=1), segments, SEEDS)
+    per_run = run_batch_segments(
+        leon3_rand(cache_kb=1), [list(segments) for _ in SEEDS], SEEDS
+    )
+    assert shared.segment_cycles == per_run.segment_cycles
+    assert shared.results == per_run.results
+
+
+def test_per_run_lists_must_align_with_seeds():
+    platform = leon3_rand(cache_kb=1)
+    trace = build_trace(9, 20)
+    with pytest.raises(ValueError):
+        run_batch_segments(platform, [[trace]], [1, 2])
+    with pytest.raises(ValueError):
+        run_batch_segments(platform, [[trace], [trace, trace]], [1, 2])
+    with pytest.raises(ValueError):
+        run_batch_segments(platform, [[], []], [1, 2])
+
+
+def test_vectorized_seed_derivation_matches_derive_seed():
+    np = pytest.importorskip("numpy")
+    rng = random.Random(1017)
+    bases = [0, 2**63 - 1, 2**64 - 1, 1, 2**63, 2**32 - 1] + [
+        rng.getrandbits(64) for _ in range(200)
+    ]
+    array = np.array(bases, dtype=np.uint64)
+    for components in [(), (101,), (3, 2), (0, 2**64 - 1, 7)]:
+        expected = [derive_seed(base, *components) for base in bases]
+        got = batch_mod._derive_seeds(array, *components)
+        assert got.dtype == np.uint64
+        assert got.tolist() == expected, components
 
 
 # ----------------------------------------------------------------------

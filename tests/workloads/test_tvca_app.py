@@ -140,3 +140,60 @@ class TestApplication:
         cfg = TvcaConfig()
         assert cfg.actuator_period_cycles == int(0.020 * 50e6)
         assert cfg.sensor_period_cycles == cfg.actuator_period_cycles // 2
+
+
+class TestJobTraceMemo:
+    """Job traces are pure functions of ``(task, env)``: equal jobs of
+    any runs share one read-only :class:`Trace` object."""
+
+    SENSOR_ENV = {"faults": (False,) * 4, "telemetry_slot": 4}
+
+    def test_equal_task_and_env_return_the_same_trace(self, small_app):
+        name = TvcaApplication.TASK_SENSOR
+        trace, signature = small_app._job_trace(name, dict(self.SENSOR_ENV))
+        again, again_signature = small_app._job_trace(
+            name, {"telemetry_slot": 4, "faults": (False,) * 4}
+        )
+        assert again is trace
+        assert again_signature == signature
+        other, _ = small_app._job_trace(
+            name, {"faults": (False,) * 4, "telemetry_slot": 8}
+        )
+        assert other is not trace
+
+    def test_plans_share_equal_job_traces(self, small_app):
+        def content(trace):
+            return (
+                tuple(trace.kinds), tuple(trace.pcs), tuple(trace.addrs),
+                tuple(trace.operand_classes), tuple(trace.dep_distances),
+                tuple(trace.takens),
+            )
+
+        objects = {}
+        for input_seed in range(12):
+            plan = small_app.build_plan(input_seed)
+            for trace in plan.traces:
+                objects.setdefault(content(trace), set()).add(id(trace))
+        assert all(len(ids) == 1 for ids in objects.values())
+        # The sensor jobs repeat across runs, so sharing actually happens.
+        assert len(objects) < 12 * len(plan.traces)
+
+    def test_memo_is_bounded_lru(self, monkeypatch):
+        from repro.workloads.tvca import app as app_module
+
+        monkeypatch.setattr(app_module, "JOB_TRACE_MEMO_SIZE", 2)
+        app = TvcaApplication(
+            TvcaConfig(estimator_dim=4, aero_elements=64, aero_window=8)
+        )
+        name = TvcaApplication.TASK_SENSOR
+
+        def job(slot):
+            env = {"faults": (False,) * 4, "telemetry_slot": slot}
+            return app._job_trace(name, env)[0]
+
+        first = job(0)
+        job(4)
+        assert job(0) is first  # refreshes slot 0
+        job(8)  # evicts slot 4, the least recently used
+        assert len(app._job_traces) == 2
+        assert job(0) is first
