@@ -10,7 +10,8 @@ run count acting only as a cap.
 
 It then re-runs the same campaign sharded across worker processes to
 show the early-stopping decision is scheduling-independent: the
-surviving records — and hence the artifact — are bit-identical.
+surviving records — and hence the artifact — are bit-identical.  The
+script exits non-zero if they are not.
 
 Run:  python examples/adaptive_campaign.py [max_runs]
 """
@@ -59,8 +60,11 @@ def main() -> None:
     )
     serial_json = CampaignArtifact.from_result(result, config=config).to_json()
     sharded_json = CampaignArtifact.from_result(sharded, config=config).to_json()
+    identical = sharded_json == serial_json
     print(f"\nsharded run stopped at {sharded.runs_used} runs; "
-          f"artifact bit-identical to serial: {sharded_json == serial_json}")
+          f"artifact bit-identical to serial: {identical}")
+    if not identical:
+        sys.exit("sharded artifact differs from the serial one")
 
 
 if __name__ == "__main__":

@@ -67,7 +67,7 @@ from .requests import (
     CampaignRequest,
     execute_request,
 )
-from .runner import CampaignRunner, default_shards
+from .runner import CampaignRunner
 from .scenario import Scenario
 from .workload import (
     PreparedTrace,
@@ -106,7 +106,6 @@ __all__ = [
     "create_platform",
     "create_scenario",
     "create_workload",
-    "default_shards",
     "estimator_description",
     "estimator_names",
     "execute_request",

@@ -293,11 +293,12 @@ def execute_batch_indices(
     platform: Platform,
     config: "CampaignConfig",
     indices: Sequence[int],
-    min_group: int = 1,
-    on_record: Optional[Callable[[RunRecord], None]] = None,
-    strict: bool = False,
-) -> List[RunRecord]:
-    """Execute ``indices`` on the vector engines.
+    emit: Callable[[RunRecord], None],
+    min_group: int,
+    strict: bool,
+) -> None:
+    """Execute ``indices`` on the vector engines, handing each record to
+    ``emit``.
 
     Single-core plans are packed per core into one call of the segment
     engine (:func:`~repro.platform.batch.run_batch_segments`) with one
@@ -311,11 +312,10 @@ def execute_batch_indices(
     interpreter instead; runs without a plan fall back to the
     workload's own ``execute``.  With ``strict=True`` (the explicit
     ``backend="batch"`` contract) an engine rejection raises instead of
-    silently degrading.  The produced record *set* is bit-identical to
+    silently degrading.  The emitted record *set* is bit-identical to
     the scalar path in every case; only the emission order differs
     (co-scheduled groups, single-core blocks, then plan-less residue by
-    index) — callers that need index order sort afterwards, exactly as
-    the sharded merge already does.
+    index) — the runner's record merge orders records by index.
     """
     from ..platform import batch as batch_engine
     from ..platform import batch_concurrent as concurrent_engine
@@ -325,7 +325,6 @@ def execute_batch_indices(
     )
     blocks: Dict[int, List[Tuple[int, int, BatchPlan]]] = {}
     planless_indices: List[int] = []
-    records: List[RunRecord] = []
     for run_index in indices:
         run_seed = config.platform_seed(run_index)
         input_seed = config.input_seed(run_index)
@@ -340,11 +339,6 @@ def execute_batch_indices(
             blocks.setdefault(plan.core_id, []).append(
                 (run_index, run_seed, plan)
             )
-
-    def emit(record: RunRecord) -> None:
-        records.append(record)
-        if on_record is not None:
-            on_record(record)
 
     def emit_observation(
         run_index: int, run_seed: int, observation: "RunObservation"
@@ -443,7 +437,6 @@ def execute_batch_indices(
                 )
     for run_index in sorted(planless_indices):
         emit(execute_one(workload, platform, config, run_index))
-    return records
 
 
 def pin_worker_threads() -> None:

@@ -94,11 +94,6 @@ class CampaignResult:
     backend: Optional[str] = None
 
     @property
-    def records(self) -> List[RunRecord]:
-        """Alias for ``run_details`` under its modern name."""
-        return self.run_details
-
-    @property
     def merged(self) -> ExecutionTimeSample:
         """All execution times pooled across paths (collection order)."""
         ordered = ExecutionTimeSample(label=self.label)

@@ -16,6 +16,7 @@ from repro.api import (
     TvcaWorkload,
 )
 from repro.harness import RunRecord
+from repro.platform.batch import numpy_available
 from repro.platform.soc import leon3_rand
 from repro.workloads.kernels import matmul_kernel
 from repro.workloads.tvca.app import TvcaConfig
@@ -71,9 +72,23 @@ class TestShardedProgramCampaign:
         assert results[0].merged.values == results[1].merged.values
         assert results[1].merged.values == results[2].merged.values
 
-    def test_progress_routed_in_sharded_mode(self):
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            "scalar",
+            pytest.param(
+                "batch",
+                marks=pytest.mark.skipif(
+                    not numpy_available(), reason="batch backend requires numpy"
+                ),
+            ),
+        ],
+    )
+    def test_progress_routed_in_sharded_mode(self, backend):
         seen = []
-        CampaignRunner(CampaignConfig(runs=8, base_seed=1), shards=2).run(
+        CampaignRunner(
+            CampaignConfig(runs=8, base_seed=1), shards=2, backend=backend
+        ).run(
             ProgramWorkload(matmul_kernel(dim=3)),
             leon3_rand(num_cores=1),
             progress=lambda done, total: seen.append((done, total)),
